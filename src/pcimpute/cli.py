@@ -65,26 +65,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _flag(*names, **options) -> argparse.ArgumentParser:
+    """A parent parser holding one flag, attached to the commands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **options)
+    return parent
+
+
 def _build_parser() -> _Parser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None, help="root random seed")
-    shared.add_argument(
+    seed = _flag("--seed", type=int, default=None, help="root random seed")
+    na_token = _flag(
         "--na-token", default=DEFAULT_NA_TOKEN, help="missing-value token in CSV files"
     )
-    shared.add_argument("--workers", type=int, default=None, help="parallel worker count")
-    shared.add_argument("--out-dir", default=None, help="directory for output files")
+    workers = _flag("--workers", type=int, default=None, help="parallel worker count")
+    out_dir = _flag("--out-dir", default=None, help="directory for output files")
 
     parser = _Parser(prog="pcimpute", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser(
-        "simulate", parents=[shared], help="run a Monte Carlo study from a config file"
+        "simulate",
+        parents=[seed, workers, out_dir],
+        help="run a Monte Carlo study from a config file",
     )
     sim.add_argument("--config", required=True, help="JSON study configuration")
     sim.set_defaults(func=cmd_simulate)
 
     imp = sub.add_parser(
-        "impute", parents=[shared], help="multiply impute an incomplete CSV"
+        "impute", parents=[seed, na_token, out_dir], help="multiply impute an incomplete CSV"
     )
     imp.add_argument("--input", required=True, help="incomplete CSV file")
     imp.add_argument("--method", required=True, choices=STRATEGIES)
@@ -118,7 +126,7 @@ def _build_parser() -> _Parser:
     imp.set_defaults(func=cmd_impute)
 
     pool = sub.add_parser(
-        "pool", parents=[shared], help="pool moments across completed CSV files"
+        "pool", parents=[na_token, out_dir], help="pool moments across completed CSV files"
     )
     pool.add_argument("--inputs", nargs="+", required=True, help="completed CSV files")
     pool.add_argument(
@@ -130,7 +138,7 @@ def _build_parser() -> _Parser:
     pool.set_defaults(func=cmd_pool)
 
     enum = sub.add_parser(
-        "enumerate", parents=[shared], help="apply a component-count rule to a CSV"
+        "enumerate", parents=[seed, na_token], help="apply a component-count rule to a CSV"
     )
     enum.add_argument("--input", required=True, help="CSV file")
     enum.add_argument("--rule", required=True, choices=sorted(_RULE_ALIASES))

@@ -44,7 +44,7 @@ from .imputers import (
     draw_predictive,
     pmm_impute,
 )
-from .pca import max_components, pca
+from .pca import PcaResult, RunningCorrelation, max_components, pca
 
 logger = logging.getLogger(__name__)
 
@@ -231,17 +231,53 @@ class _RunContext:
     warned_drops: set[int] = field(default_factory=set)
 
 
+@dataclass(eq=False)
+class _VbvChainState:
+    """One chain's pcr-vbv state: the working matrix's running correlation,
+    each column's spread, and each target's last extraction with its block."""
+
+    running: RunningCorrelation
+    spread: np.ndarray
+    last: dict[int, tuple[np.ndarray, PcaResult]] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, working: np.ndarray) -> _VbvChainState:
+        return cls(RunningCorrelation.of(working), np.ptp(working, axis=0))
+
+    def refresh(self, working: np.ndarray, column: int) -> None:
+        """Account for new values in ``working[:, column]``."""
+        self.running.refresh(working, column)
+        self.spread[column] = np.ptp(working[:, column])
+
+    def extract(
+        self, working: np.ndarray, target: int, block_ids: np.ndarray, q: int
+    ) -> np.ndarray:
+        """Component scores of the block, warm-started from the target's last block."""
+        last = self.last.get(target)
+        previous = last[1] if last is not None and np.array_equal(last[0], block_ids) else None
+        result = pca(working, q, columns=block_ids, running=self.running, previous=previous)
+        self.last[target] = (block_ids, result)
+        return result.scores
+
+
 def _drop_constants(
     working: np.ndarray,
     column_ids: np.ndarray,
     names: list[str],
     context: _RunContext | None,
+    spread: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Filter out columns that are constant in the current working matrix."""
+    """Filter out columns that are constant in the current working matrix.
+
+    ``spread``, when given, holds every column's current max - min.
+    """
     if column_ids.size == 0:
         return column_ids
-    block = working[:, column_ids]
-    spread = block.max(axis=0) - block.min(axis=0)
+    if spread is None:
+        block = working[:, column_ids]
+        spread = block.max(axis=0) - block.min(axis=0)
+    else:
+        spread = spread[column_ids]
     kept = column_ids[spread > 0.0]
     if kept.size != column_ids.size and context is not None:
         dropped = [int(j) for j in column_ids[spread == 0.0]]
@@ -264,6 +300,7 @@ def build_predictors(
     fixed_scores: np.ndarray | None = None,
     selected_columns: np.ndarray | None = None,
     context: _RunContext | None = None,
+    vbv_state: _VbvChainState | None = None,
 ) -> np.ndarray:
     """Assemble the predictor matrix for one column visit.
 
@@ -272,6 +309,10 @@ def build_predictors(
     scores, screened column sets) receive them via keyword arguments.
     Constant columns are dropped from raw blocks and from component
     extraction; the component count is capped by the surviving block.
+    Under ``pcr-vbv``, a chain's ``vbv_state`` replaces the per-visit
+    standardization and full eigendecomposition with its running
+    correlation matrix and a warm-started leading-component solve; without
+    one, the visit builds a fresh state and solves exactly.
     """
     names = names if names is not None else [f"x{j + 1}" for j in range(working.shape[1])]
     if strategy == STRATEGY_ALL:
@@ -279,14 +320,16 @@ def build_predictors(
             raise ValueError("pcr-all requires precomputed component scores")
         return fixed_scores
     if strategy == STRATEGY_VBV:
-        block_ids = np.array([k for k in range(working.shape[1]) if k != target], dtype=int)
-        block_ids = _drop_constants(working, block_ids, names, context)
+        if vbv_state is None:
+            vbv_state = _VbvChainState.of(working)
+        block_ids = np.delete(np.arange(working.shape[1]), target)
+        block_ids = _drop_constants(working, block_ids, names, context, vbv_state.spread)
         if block_ids.size == 0:
             return np.empty((working.shape[0], 0))
         q = min(int(n_components), max_components(working.shape[0], block_ids.size))
         if context is not None:
             context.pca_count += 1
-        return pca(working[:, block_ids], q).scores
+        return vbv_state.extract(working, target, block_ids, q)
     if strategy == STRATEGY_AUX:
         if fixed_scores is None:
             raise ValueError("pcr-aux requires precomputed component scores")
@@ -348,6 +391,8 @@ def run_chain(
     if context is None:
         context = _build_context(spec, data)
     working = initialize_fill(data, rng)
+    # Per chain, so chains stay independent of each other and of worker count.
+    vbv_state = _VbvChainState.of(working) if spec.strategy == STRATEGY_VBV else None
     iterations = 1 if spec.strategy == STRATEGY_ALL else spec.iterations
     targets = data.incomplete_columns()
     for sweep in range(1, iterations + 1):
@@ -362,9 +407,12 @@ def run_chain(
                 fixed_scores=context.fixed_scores,
                 selected_columns=context.selected.get(int(target)),
                 context=context,
+                vbv_state=vbv_state,
             )
             where = f"chain {chain_index}, iteration {sweep}"
             imputed = _impute_column(spec, data, working, predictors, int(target), rng, where)
+            if vbv_state is not None:
+                vbv_state.refresh(working, int(target))
             sd = float(np.std(imputed, ddof=1)) if imputed.size > 1 else float("nan")
             record = TraceRecord(
                 chain=chain_index,

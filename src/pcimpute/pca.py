@@ -68,6 +68,11 @@ class PcaResult:
         Leading correlation-matrix eigenvalues, nonincreasing.
     centers, scales : ndarray, shape (n_cols,)
         Column statistics used for standardization.
+    next_eigenvalue : float
+        Eigenvalue ``n_components + 1`` (0.0 when every component is
+        kept).  A warm-started solve carries its warm start's value on.
+    warm_steps : int
+        Filter steps of a warm-started solve; 0 means an exact ``eigh``.
     """
 
     scores: np.ndarray
@@ -75,17 +80,21 @@ class PcaResult:
     eigenvalues: np.ndarray
     centers: np.ndarray
     scales: np.ndarray
+    next_eigenvalue: float = 0.0
+    warm_steps: int = 0
+
+
+def _orient(vectors: np.ndarray) -> np.ndarray:
+    lead = np.argmax(np.abs(vectors), axis=0)
+    signs = np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+    return vectors * signs
 
 
 def _oriented_descending_eigh(corr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # eigh returns ascending order; flip, then fix each column's sign.
     eigenvalues, vectors = np.linalg.eigh(corr)
     order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = vectors[:, order]
-    lead = np.argmax(np.abs(vectors), axis=0)
-    signs = np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
-    return eigenvalues, vectors * signs
+    return eigenvalues[order], _orient(vectors[:, order])
 
 
 def _correlation(standardized: np.ndarray) -> np.ndarray:
@@ -93,7 +102,127 @@ def _correlation(standardized: np.ndarray) -> np.ndarray:
     return standardized.T @ standardized / (n - 1)
 
 
-def pca(matrix: np.ndarray, n_components: int) -> PcaResult:
+@dataclass(eq=False)
+class RunningCorrelation:
+    """Standardized copy of a matrix and its correlation matrix, kept current.
+
+    When one column of the source matrix changes, ``refresh`` recomputes
+    that column's statistics and standardized values and then row and
+    column ``j`` of the correlation matrix from the standardized copy, in
+    O(n_rows * n_cols).  Every entry is recomputed rather than updated
+    additively, so no rounding drift builds up over many refreshes.
+    """
+
+    standardized: np.ndarray
+    centers: np.ndarray
+    scales: np.ndarray
+    correlation: np.ndarray
+
+    @classmethod
+    def of(cls, matrix: np.ndarray) -> RunningCorrelation:
+        standardized, centers, scales = standardize(matrix)
+        return cls(standardized, centers, scales, _correlation(standardized))
+
+    def refresh(self, matrix: np.ndarray, column: int) -> None:
+        """Bring column ``column`` up to date with ``matrix[:, column]``."""
+        values = matrix[:, column]
+        center = values.mean()
+        scale = values.std(ddof=1) or 1.0
+        self.standardized[:, column] = (values - center) / scale
+        self.centers[column] = center
+        self.scales[column] = scale
+        row = self.standardized.T @ self.standardized[:, column] / (matrix.shape[0] - 1)
+        self.correlation[column, :] = row
+        self.correlation[:, column] = row
+
+
+# Warm-started leading eigensolve: Chebyshev-filtered subspace iteration
+# (Zhou, Saad, Tiago & Chelikowsky 2006) with Rayleigh-Ritz, restarted
+# from the previous solve's weights (Halko, Martinsson & Tropp 2011).
+FILTER_DEGREE = 4
+FILTER_MARGIN = 1.05  # damped interval [0, FILTER_MARGIN * next eigenvalue]
+WARM_MAX_STEPS = 6
+WARM_RESIDUAL_TOL = 1e-12  # per column, ||R v - lambda v|| <= tol * lambda_1
+WARM_MIN_GAP = 0.25  # relative gap (lambda_q - lambda_{q+1}) / lambda_q
+WARM_MAX_SHARE = 0.25  # largest q / n_cols solved warm
+
+
+def _warm_leading_eigh(
+    corr: np.ndarray, previous: PcaResult
+) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Leading eigenpairs of ``corr`` from ``previous``'s weights, or None if unconverged."""
+    # The floor keeps the damped interval open when the block is rank-deficient.
+    upper = max(FILTER_MARGIN * previous.next_eigenvalue, 1e-2 * previous.eigenvalues[-1])
+    scale = 2.0 / upper
+    basis = previous.weights
+    for step in range(1, WARM_MAX_STEPS + 1):
+        # T_d(scale * corr - I) applied to the basis by the three-term recurrence.
+        before, current = basis, scale * (corr @ basis) - basis
+        for _ in range(FILTER_DEGREE - 1):
+            before, current = current, 2.0 * (scale * (corr @ current) - current) - before
+        basis, _ = np.linalg.qr(current)
+        image = corr @ basis
+        values, rotation = np.linalg.eigh(basis.T @ image)
+        values, rotation = values[::-1], rotation[:, ::-1]
+        basis = basis @ rotation
+        residual = np.linalg.norm(image @ rotation - basis * values, axis=0)
+        # Converged, and every value above the damped interval, as leading ones are.
+        if (residual <= WARM_RESIDUAL_TOL * values[0]).all() and values[-1] > upper:
+            return values, basis, step
+    return None
+
+
+def _warm_start_fits(previous: PcaResult | None, n_cols: int, n_components: int) -> bool:
+    if previous is None or previous.weights.shape != (n_cols, n_components):
+        return False
+    last = previous.eigenvalues[-1]
+    return (
+        n_components <= WARM_MAX_SHARE * n_cols
+        and last > 0.0
+        and last - previous.next_eigenvalue >= WARM_MIN_GAP * last
+    )
+
+
+def _running_components(
+    running: RunningCorrelation,
+    columns: np.ndarray,
+    n_components: int,
+    previous: PcaResult | None,
+) -> PcaResult:
+    corr = running.correlation[np.ix_(columns, columns)]
+    solved = None
+    if _warm_start_fits(previous, columns.size, n_components):
+        solved = _warm_leading_eigh(corr, previous)
+    if solved is not None:
+        eigenvalues, weights, steps = solved
+        weights = _orient(weights)
+        next_eigenvalue = previous.next_eigenvalue
+    else:
+        spectrum, vectors = _oriented_descending_eigh(corr)
+        eigenvalues, weights, steps = spectrum[:n_components], vectors[:, :n_components], 0
+        next_eigenvalue = float(spectrum[n_components]) if n_components < spectrum.size else 0.0
+    # Scores from the whole standardized matrix, zero weight off the block.
+    embedded = np.zeros((running.standardized.shape[1], n_components))
+    embedded[columns] = weights
+    return PcaResult(
+        scores=running.standardized @ embedded,
+        weights=weights,
+        eigenvalues=eigenvalues.copy(),
+        centers=running.centers[columns],
+        scales=running.scales[columns],
+        next_eigenvalue=next_eigenvalue,
+        warm_steps=steps,
+    )
+
+
+def pca(
+    matrix: np.ndarray,
+    n_components: int,
+    *,
+    columns: np.ndarray | None = None,
+    running: RunningCorrelation | None = None,
+    previous: PcaResult | None = None,
+) -> PcaResult:
     """Extract the leading principal components of ``matrix``.
 
     The decomposition is of the Pearson correlation matrix; scores are
@@ -105,16 +234,43 @@ def pca(matrix: np.ndarray, n_components: int) -> PcaResult:
     matrix : ndarray, shape (n_rows, n_cols)
         Finite data matrix with at least two rows.
     n_components : int
-        Number of components, ``1 <= n_components <= min(n_rows, n_cols)``.
+        Number of components, ``1 <= n_components <= min(n_rows, n_cols)``
+        (``n_cols`` of the selected block when ``columns`` is given).
+    columns : ndarray of int, optional
+        Extract from the block ``matrix[:, columns]`` only.
+    running : RunningCorrelation, optional
+        The current standardization and correlation matrix of ``matrix``;
+        they are used as they are instead of being recomputed.
+    previous : PcaResult, optional
+        An earlier result on a nearby matrix with the same block and
+        count, used with ``running`` to warm-start a leading-component
+        solve.  The exact ``eigh`` is used instead when the warm start
+        is missing or does not fit, when the gap after the last retained
+        eigenvalue is small, when ``n_components`` is large against the
+        block, or when the solve misses its residual check within its
+        step budget.  Warm results agree with the exact ones to the
+        residual tolerance, not bit for bit.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    standardized, centers, scales = standardize(matrix)
-    limit = max_components(*matrix.shape)
+    if running is not None:
+        if columns is None:
+            columns = np.arange(running.correlation.shape[0])
+        columns = np.asarray(columns)
+        limit = max_components(running.standardized.shape[0], columns.size)
+    else:
+        if previous is not None:
+            raise ValueError("a warm start needs the running correlation state")
+        matrix = np.asarray(matrix, dtype=float)
+        if columns is not None:
+            matrix = matrix[:, columns]
+        standardized, centers, scales = standardize(matrix)
+        limit = max_components(*matrix.shape)
     if not 1 <= int(n_components) <= limit:
         raise ValueError(
             f"n_components must be in [1, {limit}], got {n_components}"
         )
     n_components = int(n_components)
+    if running is not None:
+        return _running_components(running, columns, n_components, previous)
     eigenvalues, vectors = _oriented_descending_eigh(_correlation(standardized))
     weights = vectors[:, :n_components]
     return PcaResult(
@@ -123,6 +279,7 @@ def pca(matrix: np.ndarray, n_components: int) -> PcaResult:
         eigenvalues=eigenvalues[:n_components].copy(),
         centers=centers,
         scales=scales,
+        next_eigenvalue=float(eigenvalues[n_components]) if n_components < limit else 0.0,
     )
 
 

@@ -87,6 +87,11 @@ def estimate_parameter(matrix: np.ndarray, pid: ParameterId) -> tuple[float, flo
     if sx2 == 0.0 or sy2 == 0.0:
         raise ValueError("correlation of a zero-variance column is undefined")
     r = c / math.sqrt(sx2 * sy2)
+    if abs(r) >= 1.0:
+        raise ValueError(
+            f"correlation of columns {pid.columns} is {r!r}: perfectly collinear "
+            "columns have no atanh-scale estimate"
+        )
     return math.atanh(r), 1.0 / (n - 3)
 
 
@@ -123,6 +128,13 @@ def rubin_pool(estimates, variances, kind: str, n_rows: int) -> PooledEstimate:
         Analysis sample size, fixing the complete-data degrees of
         freedom at ``n_rows - k`` (k = 2 for covariance/correlation,
         else 1).
+
+    Raises
+    ------
+    ValueError
+        If the estimates vary across completions while every
+        within-completion variance is 0: the degrees of freedom would
+        be 0 and the interval undefined.
     """
     if kind not in PARAMETER_KINDS:
         raise ValueError(f"unknown parameter kind {kind!r}")
@@ -139,6 +151,11 @@ def rubin_pool(estimates, variances, kind: str, n_rows: int) -> PooledEstimate:
     total = within + (1.0 + 1.0 / m) * between
     k = 2 if kind in ("covariance", "correlation") else 1
     df_complete = n_rows - k
+    if within == 0.0 and between > 0.0:
+        raise ValueError(
+            f"{kind} estimates vary across completions but every within-completion "
+            "variance is 0, so the pooled degrees of freedom collapse to 0"
+        )
     if between == 0.0:
         df = float(df_complete)
     else:

@@ -47,6 +47,24 @@ class TestExitCodes:
         assert code == 2
         assert "missing cells" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["pool", "--inputs", "a.csv", "b.csv", "--params", "mean:x1",
+              "--seed", "1"], "--seed"),
+            (["impute", "--input", "a.csv", "--method", "pcr-vbv", "--out-prefix", "run",
+              "--workers", "2"], "--workers"),
+            (["enumerate", "--input", "a.csv", "--rule", "kaiser", "--workers", "2"], "--workers"),
+            (["enumerate", "--input", "a.csv", "--rule", "kaiser",
+              "--out-dir", "out"], "--out-dir"),
+            (["simulate", "--config", "study.json", "--na-token", "."], "--na-token"),
+        ],
+    )
+    def test_flags_only_on_commands_that_read_them(self, argv, flag, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+
 
 class TestImputeCommand:
     def test_writes_completions_and_trace(self, incomplete_csv, tmp_path, capsys):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
+from pcimpute import engine
 from pcimpute.data import IncompleteData, ROLE_ANALYSIS
 from pcimpute.engine import (
+    MAX_COMPONENTS,
     STRATEGIES,
     STRATEGY_ALL,
     STRATEGY_AUX,
@@ -21,8 +24,9 @@ from pcimpute.engine import (
     quickpred_select,
     run_impute,
 )
-from pcimpute.imputers import IMPUTER_PMM
-from tests.helpers import assert_observed_preserved, make_incomplete
+from pcimpute.imputers import IMPUTER_KINDS, IMPUTER_PMM
+from pcimpute.pca import pca
+from tests.helpers import assert_observed_preserved, make_incomplete, study_dataset
 
 
 def _spec(strategy, **kwargs):
@@ -290,3 +294,76 @@ class TestPrepass:
         data = IncompleteData.from_matrix(values)
         completed = prepass_single_impute(data, np.random.default_rng(1))
         np.testing.assert_array_equal(completed, values)
+
+
+def _record_running_pca(monkeypatch):
+    """Record (running-path result, exact result on the same block) per visit."""
+    calls = []
+
+    def record(matrix, n_components, **kwargs):
+        result = pca(matrix, n_components, **kwargs)
+        if kwargs.get("running") is not None:
+            calls.append((result, pca(matrix[:, kwargs["columns"]], n_components)))
+        return result
+
+    monkeypatch.setattr(engine, "pca", record)
+    return calls
+
+
+class TestVbvRunningPca:
+    """pcr-vbv's per-chain running correlation and warm-started solve."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        data, _, _ = study_dataset(seed=3, n_rows=300)  # p = 56
+        return data
+
+    def test_scores_match_exact_pca_every_visit(self, wide, monkeypatch):
+        calls = _record_running_pca(monkeypatch)
+        spec = _spec(STRATEGY_VBV, n_components=7, chains=2, iterations=4)
+        result = run_impute(spec, wide)
+        targets = len(wide.incomplete_columns())
+        assert len(calls) == result.pca_count == targets * 4 * 2
+        steps = [warm.warm_steps for warm, _ in calls]
+        # Exact on each target's first visit per chain, warm afterwards.
+        assert steps.count(0) == 2 * targets
+        assert all(step > 0 for step in steps[targets : 4 * targets])
+        for warm, exact in calls:
+            np.testing.assert_allclose(warm.scores, exact.scores, atol=1e-8)
+
+    @pytest.mark.parametrize("n_components", [6, MAX_COMPONENTS])
+    def test_fallbacks_give_exact_result(self, wide, monkeypatch, n_components):
+        # q = 6 splits a near-tied cluster of factor eigenvalues; "max" is
+        # large against the block.  Both always take the exact solve.
+        calls = _record_running_pca(monkeypatch)
+        run_impute(_spec(STRATEGY_VBV, n_components=n_components, chains=1, iterations=2), wide)
+        assert calls and all(warm.warm_steps == 0 for warm, _ in calls)
+        for warm, exact in calls:
+            np.testing.assert_allclose(warm.scores, exact.scores, atol=1e-8)
+
+    def test_column_turning_constant_falls_back(self, wide, caplog):
+        working = np.where(wide.mask, wide.values, 0.0)
+        state = engine._VbvChainState.of(working)
+        every = np.delete(np.arange(working.shape[1]), 0)
+        state.extract(working, 0, every, 7)
+        working[:, 9] = 1.5
+        state.refresh(working, 9)
+        with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
+            live = engine._drop_constants(
+                working, every, wide.names, engine._RunContext(), state.spread
+            )
+        assert 9 not in live and any(wide.names[9] in rec.message for rec in caplog.records)
+        scores = state.extract(working, 0, live, 7)
+        assert state.last[0][1].warm_steps == 0
+        np.testing.assert_allclose(scores, pca(working[:, live], 7).scores, atol=1e-8)
+
+    @pytest.mark.parametrize("imputer", IMPUTER_KINDS)
+    def test_contracts_with_warm_path(self, wide, imputer):
+        spec = _spec(STRATEGY_VBV, n_components=7, chains=2, iterations=3, imputer=imputer)
+        first = run_impute(spec, wide)
+        again = run_impute(spec, wide)
+        longer = run_impute(dataclasses.replace(spec, chains=3), wide)
+        for k, completion in enumerate(first.completions):
+            assert_observed_preserved(wide, completion)
+            np.testing.assert_array_equal(completion, again.completions[k])
+            np.testing.assert_array_equal(completion, longer.completions[k])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pcimpute.pca import (
     EnumerationRule,
+    RunningCorrelation,
     acceleration_factor_count,
     correlation_eigenvalues,
     enumerate_components,
@@ -114,6 +115,100 @@ class TestPca:
         cov = np.cov(result.scores, rowvar=False, ddof=1)
         cov = np.atleast_2d(cov)
         np.testing.assert_allclose(cov - np.diag(np.diag(cov)), 0.0, atol=1e-9)
+
+
+def _factor_matrix(seed, n_rows=300, n_cols=60, factors=3, strengths=(3.0, 2.0, 1.5)):
+    # Column j loads on factor j % factors only; distinct strengths keep
+    # the leading eigenvalues well separated, equal ones make them nearly tie.
+    rng = np.random.default_rng(seed)
+    scores = rng.standard_normal((n_rows, factors)) * np.asarray(strengths[:factors])
+    which = np.arange(n_cols) % factors
+    return scores[:, which] + rng.standard_normal((n_rows, n_cols))
+
+
+def _assert_same_components(result, exact, atol=1e-8):
+    np.testing.assert_allclose(result.scores, exact.scores, atol=atol)
+    np.testing.assert_allclose(result.weights, exact.weights, atol=atol)
+    np.testing.assert_allclose(result.eigenvalues, exact.eigenvalues, rtol=1e-12)
+
+
+class TestRunningPca:
+    def test_refresh_matches_recomputation(self):
+        x = _factor_matrix(1)
+        running = RunningCorrelation.of(x)
+        rng = np.random.default_rng(2)
+        for column in (0, 17, 0, 59):
+            x[rng.random(x.shape[0]) < 0.3, column] += rng.standard_normal()
+            running.refresh(x, column)
+        fresh = RunningCorrelation.of(x)
+        np.testing.assert_allclose(running.standardized, fresh.standardized, atol=1e-12)
+        np.testing.assert_allclose(running.correlation, fresh.correlation, atol=1e-12)
+        np.testing.assert_array_equal(running.correlation, running.correlation.T)
+
+    def test_block_selection_is_bit_identical(self):
+        x = _factor_matrix(3)
+        ids = np.delete(np.arange(x.shape[1]), 4)
+        left = pca(x, 3, columns=ids)
+        right = pca(x[:, ids], 3)
+        np.testing.assert_array_equal(left.scores, right.scores)
+        np.testing.assert_array_equal(left.weights, right.weights)
+
+    def test_running_exact_solve_matches_pca(self):
+        x = _factor_matrix(5)
+        ids = np.delete(np.arange(x.shape[1]), 10)
+        result = pca(x, 3, columns=ids, running=RunningCorrelation.of(x))
+        assert result.warm_steps == 0
+        _assert_same_components(result, pca(x[:, ids], 3))
+        assert result.next_eigenvalue == pytest.approx(correlation_eigenvalues(x[:, ids])[3])
+
+    def test_warm_start_matches_exact(self):
+        x = _factor_matrix(7)
+        ids = np.delete(np.arange(x.shape[1]), 0)
+        running = RunningCorrelation.of(x)
+        previous = pca(x, 3, columns=ids, running=running)
+        rng = np.random.default_rng(8)
+        for column in (1, 2, 3):
+            gap = rng.random(x.shape[0]) < 0.3
+            x[gap, column] = rng.standard_normal(int(gap.sum()))
+            running.refresh(x, column)
+        warm = pca(x, 3, columns=ids, running=running, previous=previous)
+        assert warm.warm_steps > 0
+        _assert_same_components(warm, pca(x[:, ids], 3))
+        for j in range(3):
+            col = warm.weights[:, j]
+            assert col[np.argmax(np.abs(col))] > 0
+
+    def test_near_degenerate_gap_falls_back(self):
+        # Two equally strong factors: lambda_1 and lambda_2 nearly coincide.
+        x = _factor_matrix(9, factors=2, strengths=(2.0, 2.0))
+        running = RunningCorrelation.of(x)
+        previous = pca(x, 1, running=running)
+        assert previous.eigenvalues[0] - previous.next_eigenvalue < 0.25 * previous.eigenvalues[0]
+        result = pca(x, 1, running=running, previous=previous)
+        assert result.warm_steps == 0
+        _assert_same_components(result, pca(x, 1))
+
+    def test_large_component_count_falls_back(self):
+        x = _factor_matrix(11, n_cols=20)
+        running = RunningCorrelation.of(x)
+        previous = pca(x, 10, running=running)
+        result = pca(x, 10, running=running, previous=previous)
+        assert result.warm_steps == 0
+        _assert_same_components(result, pca(x, 10))
+
+    def test_changed_block_falls_back(self):
+        x = _factor_matrix(13)
+        running = RunningCorrelation.of(x)
+        previous = pca(x, 3, columns=np.arange(1, 60), running=running)
+        result = pca(x, 3, columns=np.arange(2, 60), running=running, previous=previous)
+        assert result.warm_steps == 0
+        _assert_same_components(result, pca(x[:, 2:], 3))
+
+    def test_warm_start_needs_running_state(self):
+        x = _factor_matrix(15)
+        previous = pca(x, 2)
+        with pytest.raises(ValueError, match="running"):
+            pca(x, 2, previous=previous)
 
 
 class TestEnumerationRules:

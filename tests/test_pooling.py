@@ -99,6 +99,13 @@ class TestEstimateParameter:
         with pytest.raises(ValueError, match="zero-variance"):
             estimate_parameter(mat, ParameterId("correlation", (0, 1)))
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_perfect_correlation_rejected(self, sign):
+        x = np.arange(6.0)
+        mat = np.column_stack([x, sign * x])
+        with pytest.raises(ValueError, match="perfectly collinear"):
+            estimate_parameter(mat, ParameterId("correlation", (0, 1)))
+
 
 class TestRubinPool:
     def test_mean_worked_example(self):
@@ -123,6 +130,11 @@ class TestRubinPool:
         assert pooled.estimate == math.tanh(0.5)
         assert pooled.ci_lower == pytest.approx(math.tanh(ZERO_BETWEEN_Z_CI[0]), abs=1e-12)
         assert pooled.ci_upper == pytest.approx(math.tanh(ZERO_BETWEEN_Z_CI[1]), abs=1e-12)
+
+    def test_zero_within_positive_between_rejected(self):
+        # lambda = 1 would give zero degrees of freedom and a NaN interval.
+        with pytest.raises(ValueError, match="within-completion variance is 0"):
+            rubin_pool([0.4, 0.5, 0.6], [0.0, 0.0, 0.0], "mean", 50)
 
     def test_correlation_interval_stays_in_unit_range(self):
         pooled = rubin_pool([2.5, 2.9, 2.7], [0.05, 0.05, 0.05], "correlation", 40)
