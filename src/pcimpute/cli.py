@@ -228,7 +228,7 @@ def _methods_from_config(raw) -> list[MethodSetting]:
                 )
             )
         except ValueError as err:
-            raise UsageError(str(err)) from None
+            raise UsageError(f"bad methods entry {entry}: {err}") from None
     return methods
 
 

@@ -3,7 +3,7 @@
 Each chain starts from random draws of observed values, then sweeps the
 incomplete columns in ascending index order for a fixed number of
 iterations.  At every visit the target column is regressed on a
-predictor matrix assembled by the active strategy:
+predictor matrix assembled by the active strategy's plan:
 
 * ``pcr-vbv``     principal-component scores of every other column,
                   recomputed from the current working matrix at every
@@ -21,6 +21,11 @@ predictor matrix assembled by the active strategy:
 * ``oracle``      the raw analysis columns plus the declared missingness
                   predictors.
 
+The pre-pass is one quickpred chain over the block the components come
+from, at ``prepass_threshold`` for ``prepass_iterations`` sweeps, run
+by the same chain loop as every other strategy.  Its warnings and errors
+start with ``pre-pass``; errors also name the chain, iteration and column.
+
 Observed cells are never modified; missing cells always hold the most
 recent draw.  All randomness flows from one integer seed through
 per-chain child streams, so results are reproducible bit for bit and
@@ -29,8 +34,9 @@ adding chains never perturbs earlier ones.
 
 from __future__ import annotations
 
+import copy
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,56 +72,40 @@ MAX_COMPONENTS = "max"
 
 
 @dataclass(frozen=True)
-class ImputationSpec:
-    """Settings for one multiple-imputation run.
+class StudySettings:
+    """Imputation settings shared by every method of a study.
 
     Attributes
     ----------
-    strategy : str
-        One of ``STRATEGIES``.
-    n_components : int or ``"max"``
-        Retained component count for the pcr strategies; ``"max"``
-        resolves at run time to the largest feasible count.  Ignored by
-        quickpred and oracle.
-    imputer : str
-        Univariate draw: ``"bayesian-normal"`` or ``"pmm"``.
     chains : int
         Number of completed datasets.
     iterations : int
         Sweeps per chain (forced to one under ``pcr-all``).
+    imputer : str
+        Univariate draw: ``"bayesian-normal"`` or ``"pmm"``.
     corr_threshold : float
         Quickpred screening threshold on absolute correlation.
     prepass_threshold, prepass_iterations
-        Quickpred threshold and sweep count for the single-imputation
-        pre-pass used by ``pcr-all`` and ``pcr-aux``.
+        Quickpred threshold and sweep count of the single-chain pre-pass
+        used by ``pcr-all`` and ``pcr-aux``.
     donors : int
         Donor-pool size for pmm.
     ridge : float
         Stabilization constant for the regression normal equations.
-    seed : int
-        Root seed; chain streams are spawned from it.
     """
 
-    strategy: str
-    n_components: int | str = MAX_COMPONENTS
-    imputer: str = IMPUTER_BAYES
     chains: int = 5
     iterations: int = 20
+    imputer: str = IMPUTER_BAYES
     corr_threshold: float = 0.1
     prepass_threshold: float = 0.3
     prepass_iterations: int = 20
     donors: int = DEFAULT_DONORS
     ridge: float = DEFAULT_RIDGE
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.imputer not in IMPUTER_KINDS:
             raise ValueError(f"unknown imputer {self.imputer!r}")
-        if self.n_components != MAX_COMPONENTS:
-            if not isinstance(self.n_components, (int, np.integer)) or self.n_components < 1:
-                raise ValueError("n_components must be a positive integer or 'max'")
         if self.chains < 1:
             raise ValueError("chains must be positive")
         if self.iterations < 1 or self.prepass_iterations < 1:
@@ -128,6 +118,35 @@ class ImputationSpec:
             raise ValueError("donors must be positive")
         if self.ridge < 0.0:
             raise ValueError("ridge must be nonnegative")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ImputationSpec(StudySettings):
+    """Settings for one multiple-imputation run: ``StudySettings`` plus the method and seed.
+
+    Attributes
+    ----------
+    strategy : str
+        One of ``STRATEGIES``.
+    n_components : int or ``"max"``
+        Retained component count for the pcr strategies; ``"max"``
+        resolves at run time to the largest feasible count.  Ignored by
+        quickpred and oracle.
+    seed : int
+        Root seed; chain streams are spawned from it.
+    """
+
+    strategy: str
+    n_components: int | str = MAX_COMPONENTS
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.n_components != MAX_COMPONENTS:
+            if not isinstance(self.n_components, (int, np.integer)) or self.n_components < 1:
+                raise ValueError("n_components must be a positive integer or 'max'")
+        super().__post_init__()
 
 
 @dataclass(eq=False)
@@ -211,24 +230,19 @@ def quickpred_select(data: IncompleteData, target: int, threshold: float) -> np.
     return _pairwise_select(data.values, data.mask, target, threshold)
 
 
-def _oracle_select(roles: list[str], target: int) -> np.ndarray:
-    keep = [
-        j
-        for j, role in enumerate(roles)
-        if j != target and role in (ROLE_ANALYSIS, ROLE_MAR)
-    ]
-    return np.array(keep, dtype=int)
-
-
 @dataclass(eq=False)
 class _RunContext:
-    """Per-run caches shared by every chain."""
+    """Per-run state shared by every chain: the strategy's plan and counters.
 
-    selected: dict[int, np.ndarray] = field(default_factory=dict)
-    fixed_scores: np.ndarray | None = None
+    ``stage`` prefixes the run's warnings and errors (``"pre-pass "`` in
+    the bootstrap chain of a fixed-score strategy).
+    """
+
+    plan: _Plan | None = None
     resolved_components: int | None = None
     pca_count: int = 0
-    warned_drops: set[int] = field(default_factory=set)
+    warned_drops: set[str] = field(default_factory=set)
+    stage: str = ""
 
 
 @dataclass(eq=False)
@@ -264,12 +278,13 @@ def _drop_constants(
     working: np.ndarray,
     column_ids: np.ndarray,
     names: list[str],
-    context: _RunContext | None,
+    context: _RunContext,
     spread: np.ndarray | None = None,
 ) -> np.ndarray:
     """Filter out columns that are constant in the current working matrix.
 
-    ``spread``, when given, holds every column's current max - min.
+    ``spread``, when given, holds every column's current max - min.  Each
+    dropped column is warned about once per run, by name.
     """
     if column_ids.size == 0:
         return column_ids
@@ -279,69 +294,155 @@ def _drop_constants(
     else:
         spread = spread[column_ids]
     kept = column_ids[spread > 0.0]
-    if kept.size != column_ids.size and context is not None:
-        dropped = [int(j) for j in column_ids[spread == 0.0]]
-        fresh = [j for j in dropped if j not in context.warned_drops]
+    if kept.size != column_ids.size:
+        dropped = [names[j] for j in column_ids[spread == 0.0]]
+        fresh = [name for name in dropped if name not in context.warned_drops]
         if fresh:
             context.warned_drops.update(fresh)
-            labels = ", ".join(names[j] for j in fresh)
-            logger.warning("dropping constant predictor column(s): %s", labels)
+            logger.warning(
+                "%sdropping constant predictor column(s): %s", context.stage, ", ".join(fresh)
+            )
     return kept
 
 
+_NO_COLUMNS = np.empty(0, dtype=int)
+
+
+class _Plan:
+    """Which predictors the column visits of one strategy see, set up once per run.
+
+    A visit's predictors are the target's ``raw`` columns that are not
+    constant, then the plan's ``scores``.  The pcr plans settle q during
+    set-up from their predictor budget: the width of the block their
+    components come from and each target's raw columns.
+    """
+
+    raw: dict[int, np.ndarray]
+    fixed_scores: np.ndarray | None = None
+    single_sweep = False
+
+    def new_chain(self, working: np.ndarray) -> _VbvChainState | None:
+        """Per-chain state, made from the chain's initial fill."""
+        return None
+
+    def scores(self, working, target, names, context, state) -> np.ndarray | None:
+        """This visit's component scores, if the strategy uses components."""
+        return self.fixed_scores
+
+
+class _QuickpredPlan(_Plan):
+    """quickpred: raw columns screened once by pairwise correlation."""
+
+    def __init__(self, spec, data, context):
+        self.raw = {}
+        for j in data.incomplete_columns().tolist():
+            self.raw[j] = quickpred_select(data, j, spec.corr_threshold)
+            if self.raw[j].size == 0:
+                logger.warning(
+                    "%squickpred selected no predictors for column %r; "
+                    "falling back to an intercept-only model",
+                    context.stage,
+                    data.names[j],
+                )
+
+
+class _OraclePlan(_Plan):
+    """oracle: the analysis columns and the declared missingness predictors."""
+
+    def __init__(self, spec, data, context):
+        known = [j for j, role in enumerate(data.roles) if role in (ROLE_ANALYSIS, ROLE_MAR)]
+        self.raw = {
+            j: np.array([k for k in known if k != j], dtype=int)
+            for j in data.incomplete_columns().tolist()
+        }
+
+
+class _VbvPlan(_Plan):
+    """pcr-vbv: components of every other column, extracted again at every visit."""
+
+    def __init__(self, spec, data, context):
+        self.raw = {}
+        context.resolved_components = _resolve_components(spec, data, data.n_cols - 1, self.raw)
+
+    def new_chain(self, working: np.ndarray) -> _VbvChainState:
+        return _VbvChainState.of(working)
+
+    def scores(self, working, target, names, context, state) -> np.ndarray | None:
+        block_ids = np.delete(np.arange(working.shape[1]), target)
+        block_ids = _drop_constants(working, block_ids, names, context, state.spread)
+        if block_ids.size == 0:
+            return None
+        q = min(context.resolved_components, max_components(working.shape[0], block_ids.size))
+        context.pca_count += 1
+        return state.extract(working, target, block_ids, q)
+
+
+class _AllPlan(_Plan):
+    """pcr-all: scores of the whole matrix are the only predictors, so one sweep suffices."""
+
+    single_sweep = True
+
+    def __init__(self, spec, data, context):
+        self.raw = {}
+        context.resolved_components = _resolve_components(spec, data, data.n_cols, self.raw)
+        self.fixed_scores = _fixed_scores(spec, data, np.arange(data.n_cols), context)
+
+
+class _AuxPlan(_Plan):
+    """pcr-aux: the raw analysis columns plus scores of all other columns."""
+
+    def __init__(self, spec, data, context):
+        analysis = data.columns_with_role(ROLE_ANALYSIS)
+        self.raw = {j: analysis[analysis != j] for j in data.incomplete_columns().tolist()}
+        others = np.setdiff1d(np.arange(data.n_cols), analysis)
+        context.resolved_components = _resolve_components(spec, data, others.size, self.raw)
+        self.fixed_scores = _fixed_scores(spec, data, others, context)
+
+
+_PLANS = {
+    STRATEGY_VBV: _VbvPlan,
+    STRATEGY_ALL: _AllPlan,
+    STRATEGY_AUX: _AuxPlan,
+    STRATEGY_QUICKPRED: _QuickpredPlan,
+    STRATEGY_ORACLE: _OraclePlan,
+}
+
+
+def _fixed_scores(spec, data, columns, context) -> np.ndarray:
+    """Component scores of a pre-pass completion of ``columns``, fixed for the run."""
+    # The pre-pass draws from the seed's first child stream; the chains use the others.
+    prepass_rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
+    # The block skips the container's checks: its cells passed them, and
+    # it may hold a single column, which the container refuses as a dataset.
+    block = copy.copy(data)
+    block.values, block.mask = data.values[:, columns], data.mask[:, columns]
+    block.names = [data.names[j] for j in columns]
+    block.roles = [data.roles[j] for j in columns]
+    completed = _prepass_complete(spec, block, prepass_rng)
+    live = _drop_constants(completed, np.arange(columns.size), block.names, context)
+    q = min(context.resolved_components, max_components(completed.shape[0], live.size))
+    context.pca_count += 1
+    return pca(completed[:, live], q).scores
+
+
 def build_predictors(
-    strategy: str,
+    plan: _Plan,
     working: np.ndarray,
-    roles: list[str],
     target: int,
-    n_components: int,
-    *,
-    names: list[str] | None = None,
-    fixed_scores: np.ndarray | None = None,
-    selected_columns: np.ndarray | None = None,
-    context: _RunContext | None = None,
-    vbv_state: _VbvChainState | None = None,
+    names: list[str],
+    context: _RunContext,
+    state: _VbvChainState | None = None,
 ) -> np.ndarray:
     """Assemble the predictor matrix for one column visit.
 
     ``working`` must be a complete matrix holding current draws in the
-    missing cells.  Strategies with per-run caches (fixed component
-    scores, screened column sets) receive them via keyword arguments.
-    Constant columns are dropped from raw blocks and from component
-    extraction; the component count is capped by the surviving block.
-    Under ``pcr-vbv``, a chain's ``vbv_state`` replaces the per-visit
-    standardization and full eigendecomposition with its running
-    correlation matrix and a warm-started leading-component solve; without
-    one, the visit builds a fresh state and solves exactly.
+    missing cells, and ``state`` the chain's ``plan.new_chain`` state.
+    The predictors are the target's raw columns under ``plan`` that are
+    not constant in ``working``, followed by the plan's component scores.
     """
-    names = names if names is not None else [f"x{j + 1}" for j in range(working.shape[1])]
-    if strategy == STRATEGY_ALL:
-        if fixed_scores is None:
-            raise ValueError("pcr-all requires precomputed component scores")
-        return fixed_scores
-    if strategy == STRATEGY_VBV:
-        if vbv_state is None:
-            vbv_state = _VbvChainState.of(working)
-        block_ids = np.delete(np.arange(working.shape[1]), target)
-        block_ids = _drop_constants(working, block_ids, names, context, vbv_state.spread)
-        if block_ids.size == 0:
-            return np.empty((working.shape[0], 0))
-        q = min(int(n_components), max_components(working.shape[0], block_ids.size))
-        if context is not None:
-            context.pca_count += 1
-        return vbv_state.extract(working, target, block_ids, q)
-    if strategy == STRATEGY_AUX:
-        if fixed_scores is None:
-            raise ValueError("pcr-aux requires precomputed component scores")
-        analysis = [j for j, role in enumerate(roles) if role == ROLE_ANALYSIS and j != target]
-        raw_ids = _drop_constants(working, np.array(analysis, dtype=int), names, context)
-        return np.hstack([working[:, raw_ids], fixed_scores])
-    if strategy in (STRATEGY_QUICKPRED, STRATEGY_ORACLE):
-        if selected_columns is None:
-            raise ValueError(f"{strategy} requires a screened column set")
-        kept = _drop_constants(working, selected_columns, names, context)
-        return working[:, kept]
-    raise ValueError(f"unknown strategy {strategy!r}")
+    raw = working[:, _drop_constants(working, plan.raw.get(target, _NO_COLUMNS), names, context)]
+    scores = plan.scores(working, target, names, context, state)
+    return raw if scores is None else np.hstack([raw, scores])
 
 
 def _impute_column(
@@ -385,40 +486,31 @@ def run_chain(
 
     The working matrix starts from ``initialize_fill`` and the
     incomplete columns are visited in ascending index order on every
-    sweep.  A trace record (mean and sample SD of the cells just
-    imputed) is appended per visit.
+    sweep (one sweep when the strategy's predictors never change).  A
+    trace record (mean and sample SD of the cells just imputed) is
+    appended per visit.
     """
     if context is None:
         context = _build_context(spec, data)
+    plan = context.plan
     working = initialize_fill(data, rng)
     # Per chain, so chains stay independent of each other and of worker count.
-    vbv_state = _VbvChainState.of(working) if spec.strategy == STRATEGY_VBV else None
-    iterations = 1 if spec.strategy == STRATEGY_ALL else spec.iterations
-    targets = data.incomplete_columns()
-    for sweep in range(1, iterations + 1):
+    state = plan.new_chain(working)
+    targets = data.incomplete_columns().tolist()
+    sweeps = 1 if plan.single_sweep else spec.iterations
+    for sweep in range(1, sweeps + 1):
+        where = f"{context.stage}chain {chain_index}, iteration {sweep}"
         for target in targets:
-            predictors = build_predictors(
-                spec.strategy,
-                working,
-                data.roles,
-                int(target),
-                context.resolved_components or 1,
-                names=data.names,
-                fixed_scores=context.fixed_scores,
-                selected_columns=context.selected.get(int(target)),
-                context=context,
-                vbv_state=vbv_state,
-            )
-            where = f"chain {chain_index}, iteration {sweep}"
-            imputed = _impute_column(spec, data, working, predictors, int(target), rng, where)
-            if vbv_state is not None:
-                vbv_state.refresh(working, int(target))
+            predictors = build_predictors(plan, working, target, data.names, context, state)
+            imputed = _impute_column(spec, data, working, predictors, target, rng, where)
+            if state is not None:
+                state.refresh(working, target)
             sd = float(np.std(imputed, ddof=1)) if imputed.size > 1 else float("nan")
             record = TraceRecord(
                 chain=chain_index,
                 iteration=sweep,
-                column=int(target),
-                column_name=data.names[int(target)],
+                column=target,
+                column_name=data.names[target],
                 imputed_mean=float(np.mean(imputed)),
                 imputed_sd=sd,
             )
@@ -436,41 +528,22 @@ def run_chain(
 
 
 def _prepass_complete(
-    values: np.ndarray,
-    mask: np.ndarray,
-    rng: np.random.Generator,
-    threshold: float,
-    iterations: int,
-    imputer: str,
-    ridge: float,
-    donors: int,
+    spec: ImputationSpec, data: IncompleteData, rng: np.random.Generator
 ) -> np.ndarray:
-    """Single-chain quickpred completion of an arbitrary block."""
-    working = values.copy()
-    targets = np.flatnonzero(~mask.all(axis=0))
-    if targets.size == 0:
-        return working
-    for j in targets:
-        observed = values[mask[:, j], j]
-        gap = ~mask[:, j]
-        working[gap, j] = rng.choice(observed, size=int(gap.sum()), replace=True)
-    selected = {int(j): _pairwise_select(values, mask, int(j), threshold) for j in targets}
-    rng_local = rng
-    for _ in range(iterations):
-        for j in targets:
-            block = working[:, selected[int(j)]]
-            spread = block.max(axis=0) - block.min(axis=0) if block.size else np.empty(0)
-            block = block[:, spread > 0.0] if block.size else block
-            observed = mask[:, j]
-            y_obs = values[observed, j]
-            x_obs = block[observed]
-            x_mis = block[~observed]
-            if imputer == IMPUTER_BAYES:
-                params = draw_linear_params(y_obs, x_obs, rng_local, ridge)
-                working[~observed, j] = draw_predictive(params, x_mis, rng_local)
-            else:
-                working[~observed, j] = pmm_impute(y_obs, x_obs, x_mis, rng_local, donors, ridge)
-    return working
+    """Complete ``data`` once with the pre-pass, a single quickpred chain.
+
+    The chain screens at ``spec.prepass_threshold`` and runs
+    ``spec.prepass_iterations`` sweeps.
+    """
+    prepass = replace(
+        spec,
+        strategy=STRATEGY_QUICKPRED,
+        corr_threshold=spec.prepass_threshold,
+        iterations=spec.prepass_iterations,
+        chains=1,
+    )
+    context = _build_context(prepass, data, stage="pre-pass ")
+    return run_chain(prepass, data, rng, context=context)
 
 
 def prepass_single_impute(
@@ -482,49 +555,41 @@ def prepass_single_impute(
     ridge: float = DEFAULT_RIDGE,
     donors: int = DEFAULT_DONORS,
 ) -> np.ndarray:
-    """Complete a dataset once with a quickpred chain.
+    """Complete a dataset once with the pre-pass quickpred chain.
 
     Used to bootstrap component extraction for the fixed-score
     strategies.  Complete input comes back unchanged.
     """
-    return _prepass_complete(
-        data.values, data.mask, rng, threshold, iterations, imputer, ridge, donors
+    spec = ImputationSpec(
+        strategy=STRATEGY_QUICKPRED,
+        imputer=imputer,
+        prepass_threshold=threshold,
+        prepass_iterations=iterations,
+        donors=donors,
+        ridge=ridge,
     )
+    return _prepass_complete(spec, data, rng)
 
 
-def _resolve_components(spec: ImputationSpec, data: IncompleteData) -> int | None:
-    """Settle the component count for the run.
+def _resolve_components(
+    spec: ImputationSpec, data: IncompleteData, block: int, raw: dict[int, np.ndarray]
+) -> int:
+    """Settle the component count from a plan's predictor budget.
 
-    For ``"max"`` the count is the largest q such that every target's
+    Components come from ``block`` columns and each target also keeps
+    its ``raw`` columns.  For ``"max"`` the count is the largest q such that every target's
     regression keeps at least one residual degree of freedom: the block
-    bound ``min(n_rows, block columns)`` intersected with each target's
-    budget of ``observed cases - 2`` total predictors.
+    bound ``min(n_rows, block)`` intersected with each target's budget
+    of ``observed cases - 2`` total predictors, its raw columns included.
     """
-    if spec.strategy not in PCR_STRATEGIES:
-        return None
-    n, p = data.values.shape
-    targets = data.incomplete_columns()
-    observed_counts = data.mask.sum(axis=0)
-    if spec.strategy == STRATEGY_VBV:
-        block = p - 1
-        raw = {int(j): 0 for j in targets}
-    elif spec.strategy == STRATEGY_ALL:
-        block = p
-        raw = {int(j): 0 for j in targets}
-    else:
-        analysis = [j for j, role in enumerate(data.roles) if role == ROLE_ANALYSIS]
-        block = p - len(analysis)
-        raw = {
-            int(j): len(analysis) - 1 if data.roles[int(j)] == ROLE_ANALYSIS else len(analysis)
-            for j in targets
-        }
     if block < 1:
         raise ValueError(f"{spec.strategy} has no columns to extract components from")
-    ceiling = max_components(n, block)
+    ceiling = max_components(data.n_rows, block)
     if spec.n_components == MAX_COMPONENTS:
+        observed_counts = data.mask.sum(axis=0)
         resolved = ceiling
-        for j in targets:
-            budget = int(observed_counts[int(j)]) - 2 - raw[int(j)]
+        for j in data.incomplete_columns().tolist():
+            budget = int(observed_counts[j]) - 2 - raw.get(j, _NO_COLUMNS).size
             resolved = min(resolved, budget)
         if resolved < 1:
             raise ValueError(
@@ -540,64 +605,9 @@ def _resolve_components(spec: ImputationSpec, data: IncompleteData) -> int | Non
     return int(spec.n_components)
 
 
-def _build_context(spec: ImputationSpec, data: IncompleteData, prepass_rng=None) -> _RunContext:
-    context = _RunContext()
-    context.resolved_components = _resolve_components(spec, data)
-    targets = [int(j) for j in data.incomplete_columns()]
-    if spec.strategy == STRATEGY_QUICKPRED:
-        for j in targets:
-            chosen = quickpred_select(data, j, spec.corr_threshold)
-            if chosen.size == 0:
-                logger.warning(
-                    "quickpred selected no predictors for column %r; "
-                    "falling back to an intercept-only model",
-                    data.names[j],
-                )
-            context.selected[j] = chosen
-    elif spec.strategy == STRATEGY_ORACLE:
-        for j in targets:
-            context.selected[j] = _oracle_select(data.roles, j)
-    elif spec.strategy in (STRATEGY_ALL, STRATEGY_AUX):
-        if prepass_rng is None:
-            prepass_rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
-        if spec.strategy == STRATEGY_ALL:
-            completed = _prepass_complete(
-                data.values,
-                data.mask,
-                prepass_rng,
-                spec.prepass_threshold,
-                spec.prepass_iterations,
-                spec.imputer,
-                spec.ridge,
-                spec.donors,
-            )
-            block = completed
-        else:
-            keep = np.array(
-                [j for j, role in enumerate(data.roles) if role != ROLE_ANALYSIS],
-                dtype=int,
-            )
-            completed = _prepass_complete(
-                data.values[:, keep],
-                data.mask[:, keep],
-                prepass_rng,
-                spec.prepass_threshold,
-                spec.prepass_iterations,
-                spec.imputer,
-                spec.ridge,
-                spec.donors,
-            )
-            block = completed
-        spread = block.max(axis=0) - block.min(axis=0)
-        if (spread == 0.0).any():
-            logger.warning(
-                "dropping %d constant column(s) from component extraction",
-                int((spread == 0.0).sum()),
-            )
-        live = block[:, spread > 0.0]
-        q = min(int(context.resolved_components), max_components(live.shape[0], live.shape[1]))
-        context.fixed_scores = pca(live, q).scores
-        context.pca_count += 1
+def _build_context(spec: ImputationSpec, data: IncompleteData, stage: str = "") -> _RunContext:
+    context = _RunContext(stage=stage)
+    context.plan = _PLANS[spec.strategy](spec, data, context)
     return context
 
 
@@ -628,8 +638,8 @@ def run_impute(
                 f"column {data.names[int(j)]!r} has fewer than three observed cells"
             )
     root = np.random.SeedSequence(spec.seed)
-    children = root.spawn(spec.chains + 1)
-    context = _build_context(spec, data, prepass_rng=np.random.default_rng(children[0]))
+    children = root.spawn(spec.chains + 1)  # child 0 is the pre-pass stream
+    context = _build_context(spec, data)
     trace: list[TraceRecord] = []
     completions = []
     for chain_index in range(spec.chains):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -29,11 +29,10 @@ from .data import ROLE_ANALYSIS, ROLE_AUXILIARY, ROLE_MAR, IncompleteData
 from .engine import (
     MAX_COMPONENTS,
     PCR_STRATEGIES,
-    STRATEGIES,
     ImputationSpec,
+    StudySettings,
     run_impute,
 )
-from .imputers import DEFAULT_DONORS, DEFAULT_RIDGE, IMPUTER_BAYES, IMPUTER_KINDS
 from .pooling import analyze_set, estimate_parameter, moment_parameter_ids
 
 ANCHOR_ITEMS = 8  # items on the first factor: 4 analysis targets + 4 MAR predictors
@@ -343,8 +342,7 @@ class MethodSetting:
     n_components: int | str | None = None
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+        self.spec(StudySettings(), seed=0)  # rejects a bad strategy or n_components
         if self.strategy in PCR_STRATEGIES and self.n_components is None:
             raise ValueError(f"{self.strategy} needs n_components")
 
@@ -352,28 +350,19 @@ class MethodSetting:
     def components_label(self) -> str:
         return "" if self.n_components is None else str(self.n_components)
 
-
-@dataclass(frozen=True)
-class StudySettings:
-    """Imputation settings shared by every method in a study."""
-
-    chains: int = 5
-    iterations: int = 20
-    imputer: str = IMPUTER_BAYES
-    corr_threshold: float = 0.1
-    prepass_threshold: float = 0.3
-    prepass_iterations: int = 20
-    donors: int = DEFAULT_DONORS
-    ridge: float = DEFAULT_RIDGE
-
-    def __post_init__(self) -> None:
-        if self.imputer not in IMPUTER_KINDS:
-            raise ValueError(f"unknown imputer {self.imputer!r}")
+    def spec(self, settings: StudySettings, seed: int) -> ImputationSpec:
+        """This method's run in a study with ``settings``."""
+        shared = {f.name: getattr(settings, f.name) for f in fields(StudySettings)}
+        components = MAX_COMPONENTS if self.n_components is None else self.n_components
+        return ImputationSpec(**shared, strategy=self.strategy, n_components=components, seed=seed)
 
 
 @dataclass(eq=False)
 class MetricRecord:
-    """Pooled performance of one method on one parameter in one cell."""
+    """Pooled performance of one method on one parameter in one cell.
+
+    The field order is the column order of ``metrics.csv``.
+    """
 
     n_rows: int
     n_cols: int
@@ -392,7 +381,10 @@ class MetricRecord:
 
 @dataclass(eq=False)
 class EstimateRecord:
-    """One pooled estimate from one replication."""
+    """One pooled estimate from one replication.
+
+    The field order is the column order of ``estimates.csv``.
+    """
 
     n_rows: int
     n_cols: int
@@ -423,7 +415,12 @@ def method_seed(root_seed: int, condition_index: int, rep: int, method_index: in
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
-def _replication(args) -> tuple[int, int, list, list[str], dict]:
+def _replication(args) -> tuple[int, int, dict, list[str]]:
+    """One replication: every method on the same amputed dataset.
+
+    Returns the condition and rep, each succeeding method's estimate
+    records and runtime keyed by method index, and the failure messages.
+    """
     (root_seed, cond_index, rep, cond, methods, settings, deterministic_timer) = args
     timer = time.perf_counter if not deterministic_timer else (lambda: 0.0)
     sequence = np.random.SeedSequence(root_seed, spawn_key=(cond_index, rep))
@@ -439,25 +436,10 @@ def _replication(args) -> tuple[int, int, list, list[str], dict]:
     for pid in pids:
         estimate, _ = estimate_parameter(coarse, pid)
         full_scale[pid] = float(np.tanh(estimate)) if pid.kind == "correlation" else estimate
-    rows = []
+    results = {}
     failures = []
-    runtimes = {}
     for method_index, method in enumerate(methods):
-        spec = ImputationSpec(
-            strategy=method.strategy,
-            n_components=(
-                method.n_components if method.n_components is not None else MAX_COMPONENTS
-            ),
-            imputer=settings.imputer,
-            chains=settings.chains,
-            iterations=settings.iterations,
-            corr_threshold=settings.corr_threshold,
-            prepass_threshold=settings.prepass_threshold,
-            prepass_iterations=settings.prepass_iterations,
-            donors=settings.donors,
-            ridge=settings.ridge,
-            seed=method_seed(root_seed, cond_index, rep, method_index),
-        )
+        spec = method.spec(settings, method_seed(root_seed, cond_index, rep, method_index))
         started = timer()
         try:
             imputed_set = run_impute(spec, data)
@@ -468,7 +450,8 @@ def _replication(args) -> tuple[int, int, list, list[str], dict]:
                 f"({method.components_label}): {err}"
             )
             continue
-        runtimes[method_index] = timer() - started
+        runtime = timer() - started
+        rows = []
         for pid in pids:
             result = pooled[pid]
             rows.append(
@@ -487,7 +470,8 @@ def _replication(args) -> tuple[int, int, list, list[str], dict]:
                     full_estimate=full_scale[pid],
                 )
             )
-    return cond_index, rep, rows, failures, runtimes
+        results[method_index] = (rows, runtime)
+    return cond_index, rep, results, failures
 
 
 def run_study(
@@ -521,44 +505,31 @@ def run_study(
     outputs = {}
     if workers == 1:
         for job in jobs:
-            cond_index, rep, rows, failures, runtimes = _replication(job)
-            outputs[(cond_index, rep)] = (rows, failures, runtimes)
+            cond_index, rep, results, failures = _replication(job)
+            outputs[(cond_index, rep)] = (results, failures)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cond_index, rep, rows, failures, runtimes in pool.map(
-                _replication, jobs, chunksize=1
-            ):
-                outputs[(cond_index, rep)] = (rows, failures, runtimes)
+            for cond_index, rep, results, failures in pool.map(_replication, jobs, chunksize=1):
+                outputs[(cond_index, rep)] = (results, failures)
     estimates: list[EstimateRecord] = []
     failures: list[str] = []
-    for key in sorted(outputs):
-        rows, row_failures, _ = outputs[key]
-        estimates.extend(rows)
-        failures.extend(row_failures)
+    # (condition, method index) -> (rows, runtime) of each rep it succeeded in
+    succeeded: dict[tuple[int, int], list] = {}
+    for (cond_index, _), (results, rep_failures) in sorted(outputs.items()):
+        failures.extend(rep_failures)
+        for method_index, (rows, runtime) in results.items():
+            estimates.extend(rows)
+            succeeded.setdefault((cond_index, method_index), []).append((rows, runtime))
     metrics = []
     for cond_index, cond in enumerate(conditions):
         for method_index, method in enumerate(methods):
-            method_rows = [
-                row
-                for (c, r), (rows, _, _) in sorted(outputs.items())
-                if c == cond_index
-                for row in rows
-                if row.method == method.strategy
-                and row.n_components == method.n_components
-            ]
-            rep_runtimes = [
-                runtimes[method_index]
-                for (c, r), (_, _, runtimes) in sorted(outputs.items())
-                if c == cond_index and method_index in runtimes
-            ]
-            succeeded = sorted({row.rep for row in method_rows})
-            failure_count = reps - len(succeeded)
+            done = succeeded.get((cond_index, method_index), [])
             by_parameter: dict[str, list[EstimateRecord]] = {}
-            for row in method_rows:
-                by_parameter.setdefault(row.parameter, []).append(row)
-            mean_runtime = float(np.mean(rep_runtimes)) if rep_runtimes else float("nan")
+            for rows, _ in done:
+                for row in rows:
+                    by_parameter.setdefault(row.parameter, []).append(row)
+            mean_runtime = float(np.mean([t for _, t in done])) if done else float("nan")
             for parameter, rows in by_parameter.items():
-                rows = sorted(rows, key=lambda r: r.rep)
                 metrics.append(
                     MetricRecord(
                         n_rows=cond.n_rows,
@@ -581,42 +552,10 @@ def run_study(
                         ),
                         runtime_s=mean_runtime,
                         reps=len(rows),
-                        failures=failure_count,
+                        failures=reps - len(done),
                     )
                 )
     return StudyResult(metrics=metrics, estimates=estimates, failures=failures)
-
-
-METRICS_HEADER = [
-    "n_rows",
-    "n_cols",
-    "noise_fraction",
-    "categories",
-    "method",
-    "n_components",
-    "parameter",
-    "prb",
-    "cic",
-    "ciw",
-    "runtime_s",
-    "reps",
-    "failures",
-]
-
-ESTIMATES_HEADER = [
-    "n_rows",
-    "n_cols",
-    "noise_fraction",
-    "categories",
-    "rep",
-    "method",
-    "n_components",
-    "parameter",
-    "estimate",
-    "ci_lower",
-    "ci_upper",
-    "full_estimate",
-]
 
 
 def _format_cell(value) -> str:
@@ -627,56 +566,21 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_metrics_csv(path, metrics: list[MetricRecord]) -> None:
-    """Write metric records in the documented column order."""
+def _write_records(path, record_type, records) -> None:
+    """Write dataclass records as CSV, one column per field in declaration order."""
+    names = [f.name for f in fields(record_type)]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(METRICS_HEADER)
-        for record in metrics:
-            writer.writerow(
-                [
-                    _format_cell(getattr(record, name))
-                    for name in (
-                        "n_rows",
-                        "n_cols",
-                        "noise_fraction",
-                        "categories",
-                        "method",
-                        "n_components",
-                        "parameter",
-                        "prb",
-                        "cic",
-                        "ciw",
-                        "runtime_s",
-                        "reps",
-                        "failures",
-                    )
-                ]
-            )
+        writer.writerow(names)
+        for record in records:
+            writer.writerow([_format_cell(getattr(record, name)) for name in names])
+
+
+def write_metrics_csv(path, metrics: list[MetricRecord]) -> None:
+    """Write metric records, one column per ``MetricRecord`` field."""
+    _write_records(path, MetricRecord, metrics)
 
 
 def write_estimates_csv(path, estimates: list[EstimateRecord]) -> None:
-    """Write per-replication estimate records in the documented order."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(ESTIMATES_HEADER)
-        for record in estimates:
-            writer.writerow(
-                [
-                    _format_cell(getattr(record, name))
-                    for name in (
-                        "n_rows",
-                        "n_cols",
-                        "noise_fraction",
-                        "categories",
-                        "rep",
-                        "method",
-                        "n_components",
-                        "parameter",
-                        "estimate",
-                        "ci_lower",
-                        "ci_upper",
-                        "full_estimate",
-                    )
-                ]
-            )
+    """Write per-replication estimate records, one column per ``EstimateRecord`` field."""
+    _write_records(path, EstimateRecord, estimates)

@@ -49,10 +49,12 @@ def study_dataset(
     categories: int | None = None,
     n_rows: int = 500,
     items_per_factor: int = 8,
+    factors: int = 7,
 ):
     """One study replication: (incomplete data, complete matrix, condition)."""
     cond = SimulationCondition(
         n_rows=n_rows,
+        factors=factors,
         items_per_factor=items_per_factor,
         noise_fraction=noise_fraction,
         categories=categories,

@@ -351,6 +351,26 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("section", "value", "message"),
+        [
+            ("settings", {"chains": 0}, "bad settings: chains must be positive"),
+            (
+                "methods",
+                [{"strategy": "pcr-vbv", "n_components": 0}],
+                "bad methods entry {'strategy': 'pcr-vbv', 'n_components': 0}: n_components",
+            ),
+        ],
+    )
+    def test_bad_settings_or_method_exit_1(self, tmp_path, capsys, section, value, message):
+        path = self._config(tmp_path)
+        config = json.loads(path.read_text(encoding="utf-8"))
+        config[section] = value
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()  # refused before any replication ran
+
     def test_bad_grid_cell_rejected(self, tmp_path, capsys):
         config = {
             "grid": {"n_rows": 80, "factors": 3, "noise_fraction": 0.37},

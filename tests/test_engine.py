@@ -295,6 +295,24 @@ class TestPrepass:
         completed = prepass_single_impute(data, np.random.default_rng(1))
         np.testing.assert_array_equal(completed, values)
 
+    def test_failure_names_stage_chain_and_column(self):
+        # p = 36 with 20 observed target cells: the pre-pass screen keeps
+        # more predictors than the first target's regression can take.
+        data, _, _ = study_dataset(seed=4, n_rows=30, factors=2, items_per_factor=28)
+        with pytest.raises(
+            ValueError, match=r"^pre-pass chain 0, iteration 1, column 'x1': overparameterized"
+        ):
+            run_impute(_spec(STRATEGY_ALL), data)
+
+    def test_warnings_name_the_stage(self, caplog):
+        data = make_incomplete(seed=79)
+        with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
+            run_impute(_spec(STRATEGY_ALL, prepass_threshold=1.0), data)
+        assert any(
+            rec.message.startswith("pre-pass quickpred selected no predictors for column 'x1'")
+            for rec in caplog.records
+        )
+
 
 def _record_running_pca(monkeypatch):
     """Record (running-path result, exact result on the same block) per visit."""

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from pcimpute.data import ROLE_ANALYSIS, ROLE_AUXILIARY, ROLE_MAR
-from pcimpute.engine import STRATEGY_ORACLE, STRATEGY_VBV, ImputationSpec, run_impute
+from pcimpute.engine import (
+    STRATEGY_ORACLE,
+    STRATEGY_QUICKPRED,
+    STRATEGY_VBV,
+    ImputationSpec,
+    run_impute,
+)
 from pcimpute.pooling import analyze_set, estimate_parameter, moment_parameter_ids
 from pcimpute.simulation import (
     ANCHOR_ITEMS,
@@ -278,6 +284,8 @@ class TestMethodSetting:
     def test_pcr_requires_components(self):
         with pytest.raises(ValueError, match="n_components"):
             MethodSetting(strategy=STRATEGY_VBV)
+        with pytest.raises(ValueError, match="n_components must be a positive integer"):
+            MethodSetting(strategy=STRATEGY_VBV, n_components=0)
         assert MethodSetting(strategy=STRATEGY_ORACLE).components_label == ""
         assert MethodSetting(strategy=STRATEGY_VBV, n_components=7).components_label == "7"
 
@@ -369,6 +377,15 @@ class TestRunStudy:
         assert methods_with_metrics == {STRATEGY_ORACLE}
         assert len(result.estimates) == 2 * self.N_PARAMS
 
+    def test_duplicated_method_entries_keep_their_own_reps(self):
+        quickpred = MethodSetting(strategy=STRATEGY_QUICKPRED)
+        single = _micro_study(methods=[quickpred], reps=3)
+        double = _micro_study(methods=[quickpred, quickpred], reps=3)
+        assert len(double.metrics) == 2 * len(single.metrics)
+        assert all(record.reps == 3 for record in double.metrics)
+        for left, right in zip(single.metrics, double.metrics):
+            assert vars(left) == vars(right)
+
     def test_csv_writers_round_trip(self, tmp_path):
         result = _micro_study()
         metrics_path = tmp_path / "metrics.csv"
@@ -387,5 +404,10 @@ class TestRunStudy:
         assert float(rows[1][7]) == result.metrics[0].prb
         with open(estimates_path, newline="") as handle:
             rows = list(csv.reader(handle))
+        assert rows[0] == [
+            "n_rows", "n_cols", "noise_fraction", "categories", "rep", "method",
+            "n_components", "parameter", "estimate", "ci_lower", "ci_upper",
+            "full_estimate",
+        ]
         assert len(rows) == 1 + len(result.estimates)
         assert float(rows[1][8]) == result.estimates[0].estimate

@@ -1,0 +1,159 @@
+"""Print one sha256 per seeded imputation case, to show a change is bit-identical.
+
+Run it under the ``src`` of each of two checkouts and compare the output:
+
+    PYTHONPATH=src python tools/completion_digests.py > after.txt
+    PYTHONPATH=../parent/src python tools/completion_digests.py > before.txt
+    diff before.txt after.txt
+
+Cases: every strategy with both imputers on seeded study data at p = 56
+(q = 7 and q = "max") and p = 242 (q = 7); the fixed-score strategies
+on p = 56 data with auxiliary columns missing too (so the pre-pass has
+work in both blocks), on a two-column dataset (a one-column pre-pass
+block) and, with pcr-vbv, on p = 56 data with a constant column;
+``prepass_single_impute``
+with both imputers; a small ``run_study`` with the runtime column pinned
+to zero (the bytes of its metrics.csv and estimates.csv); and the
+output files of ``pcimpute impute`` for every strategy.  Only the public
+API is used, so any checkout can run it.  Takes about a minute.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import pcimpute
+from pcimpute import cli
+from pcimpute.simulation import write_estimates_csv, write_metrics_csv
+
+IMPUTERS = ("bayesian-normal", "pmm")
+
+
+def study_data(n_rows: int, items_per_factor: int, seed: int) -> pcimpute.IncompleteData:
+    cond = pcimpute.SimulationCondition(n_rows=n_rows, items_per_factor=items_per_factor)
+    rng = np.random.default_rng(seed)
+    values, roles = pcimpute.generate_complete(cond, rng)
+    return pcimpute.ampute(values, roles, cond, rng)
+
+
+def with_auxiliary_gaps(data: pcimpute.IncompleteData, seed: int) -> pcimpute.IncompleteData:
+    """``data`` with 10 % of the cells of columns 9-24 deleted at random as well."""
+    values = data.values.copy()
+    gaps = np.zeros_like(data.mask)
+    gaps[:, 8:24] = np.random.default_rng(seed).random((data.n_rows, 16)) < 0.1
+    values[gaps] = np.nan
+    return pcimpute.IncompleteData(values, data.mask & ~gaps, data.names, data.roles)
+
+
+def two_columns(seed: int) -> pcimpute.IncompleteData:
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((40, 2))
+    values[:, 1] += values[:, 0]
+    values[rng.random(40) < 0.3, 0] = np.nan
+    values[rng.random(40) < 0.2, 1] = np.nan
+    return pcimpute.IncompleteData.from_matrix(values).with_roles(analysis=["x1"])
+
+
+def digest(*arrays) -> str:
+    sha = hashlib.sha256()
+    for array in arrays:
+        sha.update(np.ascontiguousarray(array, dtype=float).tobytes())
+    return sha.hexdigest()
+
+
+def file_digest(paths) -> str:
+    sha = hashlib.sha256()
+    for path in sorted(paths):
+        sha.update(path.name.encode())
+        sha.update(path.read_bytes())
+    return sha.hexdigest()
+
+
+def run_cases():
+    wide = {56: study_data(500, 8, 1), 242: study_data(500, 39, 2)}
+    wide["56-aux-gaps"] = with_auxiliary_gaps(wide[56], 4)
+    wide["2"] = two_columns(6)
+    constant = wide[56].values.copy()
+    constant[:, 12] = 3.0
+    wide["56-constant"] = pcimpute.IncompleteData(
+        constant, wide[56].mask, wide[56].names, wide[56].roles
+    )
+    fixed = ("pcr-all", "pcr-aux")
+    cases = [(56, 7, pcimpute.STRATEGIES), (56, "max", pcimpute.STRATEGIES)]
+    cases += [(242, 7, pcimpute.STRATEGIES), ("56-aux-gaps", 7, fixed), ("2", 1, fixed)]
+    cases += [("56-constant", 7, ("pcr-vbv", *fixed))]
+    for p, q, strategies in cases:
+        for strategy in strategies:
+            for imputer in IMPUTERS:
+                spec = pcimpute.ImputationSpec(
+                    strategy=strategy,
+                    n_components=q,
+                    imputer=imputer,
+                    chains=3,
+                    iterations=5,
+                    prepass_iterations=5,
+                    seed=11,
+                )
+                result = pcimpute.run_impute(spec, wide[p])
+                means = [record.imputed_mean for record in result.trace]
+                info = [result.resolved_components or 0, result.pca_count]
+                yield f"run_impute p={p} q={q} {strategy} {imputer}", digest(
+                    *result.completions, means, info
+                )
+
+    for imputer in IMPUTERS:
+        completed = pcimpute.prepass_single_impute(
+            wide[56], np.random.default_rng(3), iterations=5, imputer=imputer
+        )
+        yield f"prepass_single_impute {imputer}", digest(completed)
+
+    conditions = [
+        pcimpute.SimulationCondition(n_rows=120),
+        pcimpute.SimulationCondition(n_rows=120, noise_fraction=1.0, categories=2),
+    ]
+    methods = [
+        pcimpute.MethodSetting("pcr-vbv", 3),
+        pcimpute.MethodSetting("pcr-all", "max"),
+        pcimpute.MethodSetting("pcr-aux", 3),
+        pcimpute.MethodSetting("quickpred"),
+        pcimpute.MethodSetting("oracle"),
+    ]
+    settings = pcimpute.StudySettings(chains=2, iterations=3, prepass_iterations=3)
+    study = pcimpute.run_study(
+        conditions, methods, reps=2, seed=5, settings=settings, deterministic_timer=True
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_metrics_csv(out / "metrics.csv", study.metrics)
+        write_estimates_csv(out / "estimates.csv", study.estimates)
+        yield "run_study metrics.csv", file_digest([out / "metrics.csv"])
+        yield "run_study estimates.csv", file_digest([out / "estimates.csv"])
+        yield "run_study failures", hashlib.sha256("\n".join(study.failures).encode()).hexdigest()
+
+        source = out / "input.csv"
+        data = wide[56]
+        pcimpute.write_csv(source, data.values, data.names)
+        for strategy in pcimpute.STRATEGIES:
+            run_dir = out / strategy
+            argv = ["impute", "--input", str(source), "--method", strategy, "--npc", "7"]
+            argv += ["--m", "2", "--maxit", "3", "--seed", "9", "--out-dir", str(run_dir)]
+            argv += ["--out-prefix", "run", "--targets", "x1,x2,x3,x4"]
+            argv += ["--mar-cols", "x5,x6,x7,x8"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            yield f"pcimpute impute {strategy}", f"exit {code} " + file_digest(run_dir.iterdir())
+
+
+def main() -> None:
+    for name, value in run_cases():
+        print(f"{name}: {value}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
