@@ -8,6 +8,7 @@ runtime failures such as unreadable inputs or a failed imputation.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import logging
@@ -242,6 +243,13 @@ def cmd_simulate(args) -> int:
     _check_keys(run_section, ("reps", "seed", "workers", "out_dir"), "run")
     if "reps" not in run_section:
         raise UsageError("config run section needs 'reps'")
+    seed = args.seed if args.seed is not None else run_section.get("seed", 0)
+    workers = args.workers if args.workers is not None else run_section.get("workers", 1)
+    reps = run_section["reps"]
+    for name, value, least in (("reps", reps, 1), ("workers", workers, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            kind = "a positive" if least else "a non-negative"
+            raise UsageError(f"bad run section: {name} must be {kind} integer, got {value!r}")
     settings_section = config.get("settings", {})
     allowed = [f.name for f in fields(StudySettings)]
     _check_keys(settings_section, allowed, "settings")
@@ -249,17 +257,10 @@ def cmd_simulate(args) -> int:
         settings = StudySettings(**settings_section)
     except (TypeError, ValueError) as err:
         raise UsageError(f"bad settings: {err}") from None
-    seed = args.seed if args.seed is not None else run_section.get("seed", 0)
-    workers = args.workers if args.workers is not None else run_section.get("workers", 1)
     out_dir = Path(args.out_dir if args.out_dir is not None else run_section.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_study(
-        conditions,
-        methods,
-        reps=int(run_section["reps"]),
-        seed=int(seed),
-        workers=int(workers),
-        settings=settings,
+        conditions, methods, reps=reps, seed=seed, workers=workers, settings=settings
     )
     write_metrics_csv(out_dir / "metrics.csv", result.metrics)
     write_estimates_csv(out_dir / "estimates.csv", result.estimates)
@@ -307,12 +308,12 @@ def cmd_impute(args) -> int:
         write_csv(f"{prefix}_{index}.csv", completion, data.names, na_token=args.na_token)
     trace_path = f"{prefix}_trace.csv"
     with open(trace_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("chain,iteration,column,mean,sd\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["chain", "iteration", "column", "mean", "sd"])
         for record in result.trace:
             sd = repr(record.imputed_sd) if np.isfinite(record.imputed_sd) else args.na_token
-            handle.write(
-                f"{record.chain},{record.iteration},{record.column_name},"
-                f"{record.imputed_mean!r},{sd}\n"
+            writer.writerow(
+                [record.chain, record.iteration, record.column_name, repr(record.imputed_mean), sd]
             )
     if spec.strategy in PCR_STRATEGIES:
         print(f"resolved n_components = {result.resolved_components}")

@@ -3,7 +3,8 @@
 Each chain starts from random draws of observed values, then sweeps the
 incomplete columns in ascending index order for a fixed number of
 iterations.  At every visit the target column is regressed on a
-predictor matrix assembled by the active strategy's plan:
+predictor matrix assembled by the run's plan, the one per-run object
+(set up once, shared by every chain):
 
 * ``pcr-vbv``     principal-component scores of every other column,
                   recomputed from the current working matrix at every
@@ -17,7 +18,8 @@ predictor matrix assembled by the active strategy's plan:
                   pre-pass completion of that block;
 * ``quickpred``   raw columns screened once, before iteration, by
                   absolute pairwise-complete correlation with the target
-                  or its missingness indicator;
+                  or its missingness indicator, at most ``observed
+                  cases - 2`` per target (the strongest);
 * ``oracle``      the raw analysis columns plus the declared missingness
                   predictors.
 
@@ -28,8 +30,8 @@ start with ``pre-pass``; errors also name the chain, iteration and column.
 
 Observed cells are never modified; missing cells always hold the most
 recent draw.  All randomness flows from one integer seed through
-per-chain child streams, so results are reproducible bit for bit and
-adding chains never perturbs earlier ones.
+per-chain child streams, so results are reproducible bit for bit for a
+fixed BLAS thread count, and adding chains never perturbs earlier ones.
 """
 
 from __future__ import annotations
@@ -185,13 +187,13 @@ def initialize_fill(data: IncompleteData, rng: np.random.Generator) -> np.ndarra
     return working
 
 
-def _pairwise_select(
-    values: np.ndarray,
-    mask: np.ndarray,
-    target: int,
-    threshold: float,
-) -> np.ndarray:
-    """Quickpred screen for one target on the original incomplete matrix."""
+def _pairwise_select(values: np.ndarray, mask: np.ndarray, target: int) -> np.ndarray:
+    """Quickpred screening strength of every column for one target.
+
+    A candidate's strength is the larger of its absolute correlations with
+    the target and with the target's missingness indicator, on the
+    original incomplete matrix.  The target's own entry is ``-inf``.
+    """
 
     def safe_corr(a: np.ndarray, b: np.ndarray) -> float:
         if a.size < 2:
@@ -204,7 +206,7 @@ def _pairwise_select(
 
     target_mask = mask[:, target]
     indicator = (~target_mask).astype(float)
-    keep = []
+    strength = np.full(values.shape[1], -np.inf)
     for k in range(values.shape[1]):
         if k == target:
             continue
@@ -212,9 +214,8 @@ def _pairwise_select(
         r_value = safe_corr(values[both, k], values[both, target])
         rows_k = mask[:, k]
         r_indicator = safe_corr(values[rows_k, k], indicator[rows_k])
-        if max(abs(r_value), abs(r_indicator)) >= threshold:
-            keep.append(k)
-    return np.array(keep, dtype=int)
+        strength[k] = max(abs(r_value), abs(r_indicator))
+    return strength
 
 
 def quickpred_select(data: IncompleteData, target: int, threshold: float) -> np.ndarray:
@@ -227,22 +228,7 @@ def quickpred_select(data: IncompleteData, target: int, threshold: float) -> np.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    return _pairwise_select(data.values, data.mask, target, threshold)
-
-
-@dataclass(eq=False)
-class _RunContext:
-    """Per-run state shared by every chain: the strategy's plan and counters.
-
-    ``stage`` prefixes the run's warnings and errors (``"pre-pass "`` in
-    the bootstrap chain of a fixed-score strategy).
-    """
-
-    plan: _Plan | None = None
-    resolved_components: int | None = None
-    pca_count: int = 0
-    warned_drops: set[str] = field(default_factory=set)
-    stage: str = ""
+    return np.flatnonzero(_pairwise_select(data.values, data.mask, target) >= threshold)
 
 
 @dataclass(eq=False)
@@ -277,8 +263,7 @@ class _VbvChainState:
 def _drop_constants(
     working: np.ndarray,
     column_ids: np.ndarray,
-    names: list[str],
-    context: _RunContext,
+    plan: _Plan,
     spread: np.ndarray | None = None,
 ) -> np.ndarray:
     """Filter out columns that are constant in the current working matrix.
@@ -295,12 +280,12 @@ def _drop_constants(
         spread = spread[column_ids]
     kept = column_ids[spread > 0.0]
     if kept.size != column_ids.size:
-        dropped = [names[j] for j in column_ids[spread == 0.0]]
-        fresh = [name for name in dropped if name not in context.warned_drops]
+        dropped = [plan.names[j] for j in column_ids[spread == 0.0]]
+        fresh = [name for name in dropped if name not in plan.warned_drops]
         if fresh:
-            context.warned_drops.update(fresh)
+            plan.warned_drops.update(fresh)
             logger.warning(
-                "%sdropping constant predictor column(s): %s", context.stage, ", ".join(fresh)
+                "%sdropping constant predictor column(s): %s", plan.stage, ", ".join(fresh)
             )
     return kept
 
@@ -309,23 +294,39 @@ _NO_COLUMNS = np.empty(0, dtype=int)
 
 
 class _Plan:
-    """Which predictors the column visits of one strategy see, set up once per run.
+    """The one per-run object: which predictors the column visits of one
+    strategy see, set up once per run, plus the run's counters.
 
     A visit's predictors are the target's ``raw`` columns that are not
     constant, then the plan's ``scores``.  The pcr plans settle q during
     set-up from their predictor budget: the width of the block their
-    components come from and each target's raw columns.
+    components come from and each target's raw columns.  ``stage``
+    prefixes the run's warnings and errors (``"pre-pass "`` in the
+    bootstrap chain of a fixed-score strategy), and each dropped constant
+    column is warned about once per run.
     """
 
     raw: dict[int, np.ndarray]
     fixed_scores: np.ndarray | None = None
     single_sweep = False
 
+    def __init__(self, spec: ImputationSpec, data: IncompleteData, stage: str = "") -> None:
+        self.names = data.names
+        self.stage = stage
+        self.resolved_components: int | None = None
+        self.pca_count = 0
+        self.warned_drops: set[str] = set()
+        self.set_up(spec, data)
+
+    def set_up(self, spec: ImputationSpec, data: IncompleteData) -> None:
+        """Settle each target's raw columns and, for the pcr plans, q."""
+        raise NotImplementedError
+
     def new_chain(self, working: np.ndarray) -> _VbvChainState | None:
         """Per-chain state, made from the chain's initial fill."""
         return None
 
-    def scores(self, working, target, names, context, state) -> np.ndarray | None:
+    def scores(self, working, target, state) -> np.ndarray | None:
         """This visit's component scores, if the strategy uses components."""
         return self.fixed_scores
 
@@ -333,15 +334,31 @@ class _Plan:
 class _QuickpredPlan(_Plan):
     """quickpred: raw columns screened once by pairwise correlation."""
 
-    def __init__(self, spec, data, context):
+    def set_up(self, spec, data):
         self.raw = {}
+        # Each target keeps a residual degree of freedom: at most observed
+        # cases - 2 predictors, the strongest first, ties to the lower index.
+        budgets = data.mask.sum(axis=0) - 2
         for j in data.incomplete_columns().tolist():
-            self.raw[j] = quickpred_select(data, j, spec.corr_threshold)
-            if self.raw[j].size == 0:
+            strength = _pairwise_select(data.values, data.mask, j)
+            keep = np.flatnonzero(strength >= spec.corr_threshold)
+            budget = max(int(budgets[j]), 0)
+            if keep.size > budget:
+                logger.warning(
+                    "%squickpred screen for column %r capped at %d predictors "
+                    "(observed cases - 2); dropped %d",
+                    self.stage,
+                    data.names[j],
+                    budget,
+                    keep.size - budget,
+                )
+                keep = np.sort(keep[np.argsort(-strength[keep], kind="stable")[:budget]])
+            self.raw[j] = keep
+            if keep.size == 0:
                 logger.warning(
                     "%squickpred selected no predictors for column %r; "
                     "falling back to an intercept-only model",
-                    context.stage,
+                    self.stage,
                     data.names[j],
                 )
 
@@ -349,7 +366,7 @@ class _QuickpredPlan(_Plan):
 class _OraclePlan(_Plan):
     """oracle: the analysis columns and the declared missingness predictors."""
 
-    def __init__(self, spec, data, context):
+    def set_up(self, spec, data):
         known = [j for j, role in enumerate(data.roles) if role in (ROLE_ANALYSIS, ROLE_MAR)]
         self.raw = {
             j: np.array([k for k in known if k != j], dtype=int)
@@ -360,20 +377,20 @@ class _OraclePlan(_Plan):
 class _VbvPlan(_Plan):
     """pcr-vbv: components of every other column, extracted again at every visit."""
 
-    def __init__(self, spec, data, context):
+    def set_up(self, spec, data):
         self.raw = {}
-        context.resolved_components = _resolve_components(spec, data, data.n_cols - 1, self.raw)
+        self.resolved_components = _resolve_components(spec, data, data.n_cols - 1, self.raw)
 
     def new_chain(self, working: np.ndarray) -> _VbvChainState:
         return _VbvChainState.of(working)
 
-    def scores(self, working, target, names, context, state) -> np.ndarray | None:
+    def scores(self, working, target, state) -> np.ndarray | None:
         block_ids = np.delete(np.arange(working.shape[1]), target)
-        block_ids = _drop_constants(working, block_ids, names, context, state.spread)
+        block_ids = _drop_constants(working, block_ids, self, state.spread)
         if block_ids.size == 0:
             return None
-        q = min(context.resolved_components, max_components(working.shape[0], block_ids.size))
-        context.pca_count += 1
+        q = min(self.resolved_components, max_components(working.shape[0], block_ids.size))
+        self.pca_count += 1
         return state.extract(working, target, block_ids, q)
 
 
@@ -382,21 +399,21 @@ class _AllPlan(_Plan):
 
     single_sweep = True
 
-    def __init__(self, spec, data, context):
+    def set_up(self, spec, data):
         self.raw = {}
-        context.resolved_components = _resolve_components(spec, data, data.n_cols, self.raw)
-        self.fixed_scores = _fixed_scores(spec, data, np.arange(data.n_cols), context)
+        self.resolved_components = _resolve_components(spec, data, data.n_cols, self.raw)
+        self.fixed_scores = _fixed_scores(spec, data, np.arange(data.n_cols), self)
 
 
 class _AuxPlan(_Plan):
     """pcr-aux: the raw analysis columns plus scores of all other columns."""
 
-    def __init__(self, spec, data, context):
+    def set_up(self, spec, data):
         analysis = data.columns_with_role(ROLE_ANALYSIS)
         self.raw = {j: analysis[analysis != j] for j in data.incomplete_columns().tolist()}
         others = np.setdiff1d(np.arange(data.n_cols), analysis)
-        context.resolved_components = _resolve_components(spec, data, others.size, self.raw)
-        self.fixed_scores = _fixed_scores(spec, data, others, context)
+        self.resolved_components = _resolve_components(spec, data, others.size, self.raw)
+        self.fixed_scores = _fixed_scores(spec, data, others, self)
 
 
 _PLANS = {
@@ -408,7 +425,7 @@ _PLANS = {
 }
 
 
-def _fixed_scores(spec, data, columns, context) -> np.ndarray:
+def _fixed_scores(spec, data, columns, plan) -> np.ndarray:
     """Component scores of a pre-pass completion of ``columns``, fixed for the run."""
     # The pre-pass draws from the seed's first child stream; the chains use the others.
     prepass_rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
@@ -418,10 +435,12 @@ def _fixed_scores(spec, data, columns, context) -> np.ndarray:
     block.values, block.mask = data.values[:, columns], data.mask[:, columns]
     block.names = [data.names[j] for j in columns]
     block.roles = [data.roles[j] for j in columns]
-    completed = _prepass_complete(spec, block, prepass_rng)
-    live = _drop_constants(completed, np.arange(columns.size), block.names, context)
-    q = min(context.resolved_components, max_components(completed.shape[0], live.size))
-    context.pca_count += 1
+    # Written back in place, so the run's column ids and names apply.
+    completed = data.values.copy()
+    completed[:, columns] = _prepass_complete(spec, block, prepass_rng)
+    live = _drop_constants(completed, columns, plan)
+    q = min(plan.resolved_components, max_components(completed.shape[0], live.size))
+    plan.pca_count += 1
     return pca(completed[:, live], q).scores
 
 
@@ -429,8 +448,6 @@ def build_predictors(
     plan: _Plan,
     working: np.ndarray,
     target: int,
-    names: list[str],
-    context: _RunContext,
     state: _VbvChainState | None = None,
 ) -> np.ndarray:
     """Assemble the predictor matrix for one column visit.
@@ -440,8 +457,8 @@ def build_predictors(
     The predictors are the target's raw columns under ``plan`` that are
     not constant in ``working``, followed by the plan's component scores.
     """
-    raw = working[:, _drop_constants(working, plan.raw.get(target, _NO_COLUMNS), names, context)]
-    scores = plan.scores(working, target, names, context, state)
+    raw = working[:, _drop_constants(working, plan.raw.get(target, _NO_COLUMNS), plan)]
+    scores = plan.scores(working, target, state)
     return raw if scores is None else np.hstack([raw, scores])
 
 
@@ -478,9 +495,8 @@ def run_chain(
     rng: np.random.Generator,
     *,
     chain_index: int = 0,
-    context: _RunContext | None = None,
+    plan: _Plan | None = None,
     trace: list[TraceRecord] | None = None,
-    trace_hook=None,
 ) -> np.ndarray:
     """Run one chain to completion and return the completed matrix.
 
@@ -490,39 +506,31 @@ def run_chain(
     trace record (mean and sample SD of the cells just imputed) is
     appended per visit.
     """
-    if context is None:
-        context = _build_context(spec, data)
-    plan = context.plan
+    if plan is None:
+        plan = _PLANS[spec.strategy](spec, data)
     working = initialize_fill(data, rng)
     # Per chain, so chains stay independent of each other and of worker count.
     state = plan.new_chain(working)
     targets = data.incomplete_columns().tolist()
     sweeps = 1 if plan.single_sweep else spec.iterations
     for sweep in range(1, sweeps + 1):
-        where = f"{context.stage}chain {chain_index}, iteration {sweep}"
+        where = f"{plan.stage}chain {chain_index}, iteration {sweep}"
         for target in targets:
-            predictors = build_predictors(plan, working, target, data.names, context, state)
+            predictors = build_predictors(plan, working, target, state)
             imputed = _impute_column(spec, data, working, predictors, target, rng, where)
             if state is not None:
                 state.refresh(working, target)
-            sd = float(np.std(imputed, ddof=1)) if imputed.size > 1 else float("nan")
-            record = TraceRecord(
-                chain=chain_index,
-                iteration=sweep,
-                column=target,
-                column_name=data.names[target],
-                imputed_mean=float(np.mean(imputed)),
-                imputed_sd=sd,
-            )
             if trace is not None:
-                trace.append(record)
-            if trace_hook is not None:
-                trace_hook(
-                    record.chain,
-                    record.iteration,
-                    record.column,
-                    record.imputed_mean,
-                    record.imputed_sd,
+                sd = float(np.std(imputed, ddof=1)) if imputed.size > 1 else float("nan")
+                trace.append(
+                    TraceRecord(
+                        chain=chain_index,
+                        iteration=sweep,
+                        column=target,
+                        column_name=data.names[target],
+                        imputed_mean=float(np.mean(imputed)),
+                        imputed_sd=sd,
+                    )
                 )
     return working
 
@@ -542,8 +550,7 @@ def _prepass_complete(
         iterations=spec.prepass_iterations,
         chains=1,
     )
-    context = _build_context(prepass, data, stage="pre-pass ")
-    return run_chain(prepass, data, rng, context=context)
+    return run_chain(prepass, data, rng, plan=_QuickpredPlan(prepass, data, stage="pre-pass "))
 
 
 def prepass_single_impute(
@@ -605,17 +612,7 @@ def _resolve_components(
     return int(spec.n_components)
 
 
-def _build_context(spec: ImputationSpec, data: IncompleteData, stage: str = "") -> _RunContext:
-    context = _RunContext(stage=stage)
-    context.plan = _PLANS[spec.strategy](spec, data, context)
-    return context
-
-
-def run_impute(
-    spec: ImputationSpec,
-    data: IncompleteData,
-    trace_hook=None,
-) -> MultiplyImputedSet:
+def run_impute(spec: ImputationSpec, data: IncompleteData) -> MultiplyImputedSet:
     """Produce ``spec.chains`` completed datasets.
 
     Chain randomness comes from child streams spawned off the root
@@ -639,27 +636,24 @@ def run_impute(
             )
     root = np.random.SeedSequence(spec.seed)
     children = root.spawn(spec.chains + 1)  # child 0 is the pre-pass stream
-    context = _build_context(spec, data)
+    plan = _PLANS[spec.strategy](spec, data)
     trace: list[TraceRecord] = []
-    completions = []
-    for chain_index in range(spec.chains):
-        rng = np.random.default_rng(children[chain_index + 1])
-        completions.append(
-            run_chain(
-                spec,
-                data,
-                rng,
-                chain_index=chain_index,
-                context=context,
-                trace=trace,
-                trace_hook=trace_hook,
-            )
+    completions = [
+        run_chain(
+            spec,
+            data,
+            np.random.default_rng(children[chain_index + 1]),
+            chain_index=chain_index,
+            plan=plan,
+            trace=trace,
         )
+        for chain_index in range(spec.chains)
+    ]
     return MultiplyImputedSet(
         completions=completions,
         data=data,
         spec=spec,
         trace=trace,
-        resolved_components=context.resolved_components,
-        pca_count=context.pca_count,
+        resolved_components=plan.resolved_components,
+        pca_count=plan.pca_count,
     )

@@ -415,11 +415,11 @@ def method_seed(root_seed: int, condition_index: int, rep: int, method_index: in
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
-def _replication(args) -> tuple[int, int, dict, list[str]]:
+def _replication(args) -> tuple[dict, list[str]]:
     """One replication: every method on the same amputed dataset.
 
-    Returns the condition and rep, each succeeding method's estimate
-    records and runtime keyed by method index, and the failure messages.
+    Returns each succeeding method's estimate records and runtime keyed
+    by method index, and the failure messages.
     """
     (root_seed, cond_index, rep, cond, methods, settings, deterministic_timer) = args
     timer = time.perf_counter if not deterministic_timer else (lambda: 0.0)
@@ -471,7 +471,7 @@ def _replication(args) -> tuple[int, int, dict, list[str]]:
                 )
             )
         results[method_index] = (rows, runtime)
-    return cond_index, rep, results, failures
+    return results, failures
 
 
 def run_study(
@@ -502,20 +502,16 @@ def run_study(
         for cond_index, cond in enumerate(conditions)
         for rep in range(reps)
     ]
-    outputs = {}
     if workers == 1:
-        for job in jobs:
-            cond_index, rep, results, failures = _replication(job)
-            outputs[(cond_index, rep)] = (results, failures)
+        outputs = list(map(_replication, jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cond_index, rep, results, failures in pool.map(_replication, jobs, chunksize=1):
-                outputs[(cond_index, rep)] = (results, failures)
+            outputs = list(pool.map(_replication, jobs, chunksize=1))
     estimates: list[EstimateRecord] = []
     failures: list[str] = []
     # (condition, method index) -> (rows, runtime) of each rep it succeeded in
     succeeded: dict[tuple[int, int], list] = {}
-    for (cond_index, _), (results, rep_failures) in sorted(outputs.items()):
+    for (_, cond_index, *_), (results, rep_failures) in zip(jobs, outputs):
         failures.extend(rep_failures)
         for method_index, (rows, runtime) in results.items():
             estimates.extend(rows)

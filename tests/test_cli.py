@@ -89,6 +89,21 @@ class TestImputeCommand:
         n_targets = len(data.incomplete_columns())
         assert len(trace_rows) == 1 + 2 * 2 * n_targets
 
+    def test_trace_quotes_column_names(self, tmp_path):
+        data = make_incomplete(seed=5)
+        names = ["a,b"] + data.names[1:]
+        path = tmp_path / "comma.csv"
+        write_csv(path, data.values, names)
+        code = main([
+            "impute", "--input", str(path), "--method", "quickpred",
+            "--m", "1", "--maxit", "1", "--out-dir", str(tmp_path), "--out-prefix", "run",
+        ])
+        assert code == 0
+        rows = _read_rows(tmp_path / "run_trace.csv")
+        assert all(len(row) == 5 for row in rows)
+        targets = [names[int(j)] for j in data.incomplete_columns()]
+        assert [row[2] for row in rows[1:]] == targets and "a,b" in targets
+
     def test_deterministic_given_seed(self, incomplete_csv, tmp_path):
         path, _ = incomplete_csv
         outputs = []
@@ -370,6 +385,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path)]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "results").exists()  # refused before any replication ran
+
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("reps", 0, "reps must be a positive integer, got 0"),
+            ("reps", "three", "reps must be a positive integer, got 'three'"),
+            ("workers", 0, "workers must be a positive integer, got 0"),
+        ],
+    )
+    def test_bad_run_section_exit_1(self, tmp_path, capsys, key, value, message):
+        path = self._config(tmp_path, **{key: value})
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert f"bad run section: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
     def test_bad_grid_cell_rejected(self, tmp_path, capsys):
         config = {

@@ -119,10 +119,59 @@ class TestQuickpredSelect:
         chosen = quickpred_select(data, 0, threshold=0.2)
         assert 1 not in chosen
 
+    def test_zero_threshold_keeps_every_other_column(self):
+        data = make_incomplete()
+        np.testing.assert_array_equal(
+            quickpred_select(data, 2, threshold=0.0), [0, 1, 3, 4, 5]
+        )
+
     def test_threshold_validated(self):
         data = make_incomplete()
         with pytest.raises(ValueError, match="threshold"):
             quickpred_select(data, 0, threshold=-0.1)
+
+
+class TestDfBudgetCap:
+    """The quickpred screen keeps at most observed cases - 2 predictors per target."""
+
+    def test_strongest_kept_ties_to_lower_index(self, caplog):
+        rng = np.random.default_rng(5)
+        target = rng.standard_normal(10)
+        # Column 1 is weak noise; columns 2-6 copy the target, so they tie.
+        values = np.column_stack([target, rng.standard_normal(10)] + [target] * 5)
+        values[:4, 0] = np.nan  # 6 observed cells: a budget of 4 predictors
+        data = IncompleteData.from_matrix(values)
+        strength = engine._pairwise_select(data.values, data.mask, 0)
+        assert strength[0] == -np.inf and strength[1] < strength[2]
+        assert np.all(strength[2:] == strength[2])
+        with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
+            plan = engine._QuickpredPlan(_spec(STRATEGY_QUICKPRED, corr_threshold=0.0), data)
+        np.testing.assert_array_equal(plan.raw[0], [2, 3, 4, 5])
+        assert any(
+            rec.message.startswith("quickpred screen for column 'x1' capped at 4")
+            and rec.message.endswith("dropped 2")
+            for rec in caplog.records
+        )
+
+    @pytest.mark.parametrize(
+        ("strategy", "stage"), [(STRATEGY_ALL, "pre-pass "), (STRATEGY_QUICKPRED, "")]
+    )
+    @pytest.mark.parametrize("imputer", IMPUTER_KINDS)
+    def test_many_columns_few_rows_complete(self, caplog, strategy, stage, imputer):
+        # p = 36 with 20 observed cells in x1: the screen passes 27 columns
+        # in the pre-pass and 35 in quickpred, more than a regression can take.
+        data, _, _ = study_dataset(seed=4, n_rows=30, factors=2, items_per_factor=28)
+        with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
+            result = run_impute(_spec(strategy, imputer=imputer), data)
+        for completion in result.completions:
+            assert np.isfinite(completion).all()
+            assert_observed_preserved(data, completion)
+        dropped = 27 - 18 if stage else 35 - 18
+        assert any(
+            rec.message == f"{stage}quickpred screen for column 'x1' capped at 18 "
+            f"predictors (observed cases - 2); dropped {dropped}"
+            for rec in caplog.records
+        )
 
 
 class TestRunImputeContracts:
@@ -223,17 +272,6 @@ class TestStrategySpecifics:
         assert np.isnan(result.trace[0].imputed_sd)
         assert np.isfinite(result.trace[0].imputed_mean)
 
-    def test_trace_hook_receives_each_visit(self):
-        data = make_incomplete(seed=43)
-        calls = []
-        run_impute(
-            _spec(STRATEGY_QUICKPRED, chains=2, iterations=2),
-            data,
-            trace_hook=lambda *args: calls.append(args),
-        )
-        assert len(calls) == 2 * 2 * len(data.incomplete_columns())
-        assert all(len(call) == 5 for call in calls)
-
     def test_quickpred_intercept_only_fallback_warns(self, caplog):
         rng = np.random.default_rng(47)
         values = rng.standard_normal((40, 3))
@@ -296,13 +334,12 @@ class TestPrepass:
         np.testing.assert_array_equal(completed, values)
 
     def test_failure_names_stage_chain_and_column(self):
-        # p = 36 with 20 observed target cells: the pre-pass screen keeps
-        # more predictors than the first target's regression can take.
+        # p = 36 with 20 observed target cells: too few for 25 pmm donors.
         data, _, _ = study_dataset(seed=4, n_rows=30, factors=2, items_per_factor=28)
         with pytest.raises(
-            ValueError, match=r"^pre-pass chain 0, iteration 1, column 'x1': overparameterized"
+            ValueError, match=r"^pre-pass chain 0, iteration 1, column 'x1': donor count"
         ):
-            run_impute(_spec(STRATEGY_ALL), data)
+            run_impute(_spec(STRATEGY_ALL, imputer=IMPUTER_PMM, donors=25), data)
 
     def test_warnings_name_the_stage(self, caplog):
         data = make_incomplete(seed=79)
@@ -367,9 +404,8 @@ class TestVbvRunningPca:
         working[:, 9] = 1.5
         state.refresh(working, 9)
         with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
-            live = engine._drop_constants(
-                working, every, wide.names, engine._RunContext(), state.spread
-            )
+            plan = engine._VbvPlan(_spec(STRATEGY_VBV, n_components=7), wide)
+            live = engine._drop_constants(working, every, plan, state.spread)
         assert 9 not in live and any(wide.names[9] in rec.message for rec in caplog.records)
         scores = state.extract(working, 0, live, 7)
         assert state.last[0][1].warm_steps == 0

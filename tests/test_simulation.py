@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -363,6 +364,23 @@ class TestRunStudy:
                 right.parameter,
             )
             assert left.estimate == right.estimate
+
+    def test_replications_in_condition_rep_method_order(self):
+        conditions = [MICRO, dataclasses.replace(MICRO, noise_fraction=0.5)]
+        serial = _micro_study(conditions=conditions)
+        parallel = _micro_study(conditions=conditions, workers=2)
+        expected = [
+            (cond.noise_fraction, rep, method)
+            for cond in conditions
+            for rep in range(2)
+            for method in (STRATEGY_ORACLE, STRATEGY_VBV)
+            for _ in range(self.N_PARAMS)
+        ]
+        assert [(r.noise_fraction, r.rep, r.method) for r in serial.estimates] == expected
+        assert [vars(row) for row in serial.estimates] == [
+            vars(row) for row in parallel.estimates
+        ]
+        assert [vars(row) for row in serial.metrics] == [vars(row) for row in parallel.metrics]
 
     def test_method_failures_recorded_not_raised(self):
         result = _micro_study(

@@ -16,6 +16,11 @@ with both imputers; a small ``run_study`` with the runtime column pinned
 to zero (the bytes of its metrics.csv and estimates.csv); and the
 output files of ``pcimpute impute`` for every strategy.  Only the public
 API is used, so any checkout can run it.  Takes about a minute.
+
+Some digests depend on the BLAS thread count (a multithreaded BLAS may
+sum in another order), so the script pins OpenBLAS, OpenMP and MKL to one
+thread before numpy loads, unless the caller has set those variables.
+Compare two checkouts under the same settings.
 """
 
 from __future__ import annotations
@@ -23,14 +28,18 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import tempfile
 from pathlib import Path
 
-import numpy as np
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
 
-import pcimpute
-from pcimpute import cli
-from pcimpute.simulation import write_estimates_csv, write_metrics_csv
+import numpy as np  # noqa: E402 - after the thread pins
+
+import pcimpute  # noqa: E402
+from pcimpute import cli  # noqa: E402
+from pcimpute.simulation import write_estimates_csv, write_metrics_csv  # noqa: E402
 
 IMPUTERS = ("bayesian-normal", "pmm")
 
