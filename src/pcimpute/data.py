@@ -138,19 +138,6 @@ class IncompleteData:
         return np.flatnonzero(~self.mask.all(axis=0))
 
 
-def column_subset(n_cols: int, indices) -> np.ndarray:
-    """Validate an ordered column-index subset against a column count.
-
-    Indices must be unique and lie in ``[0, n_cols)``; order is preserved.
-    """
-    out = np.asarray(indices, dtype=int).ravel()
-    if out.size != len(set(out.tolist())):
-        raise ValueError("column subset indices must be unique")
-    if out.size and (out.min() < 0 or out.max() >= n_cols):
-        raise ValueError("column subset index out of range")
-    return out
-
-
 def response_proportions(data: IncompleteData) -> np.ndarray:
     """Fraction of observed cells per column, in [0, 1]."""
     return data.mask.mean(axis=0)

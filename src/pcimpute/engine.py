@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import copy
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .imputers import (
     draw_predictive,
     pmm_impute,
 )
-from .pca import PcaResult, RunningCorrelation, max_components, pca
+from .pca import RunningCorrelation, max_components, pca
 
 logger = logging.getLogger(__name__)
 
@@ -231,35 +231,6 @@ def quickpred_select(data: IncompleteData, target: int, threshold: float) -> np.
     return np.flatnonzero(_pairwise_select(data.values, data.mask, target) >= threshold)
 
 
-@dataclass(eq=False)
-class _VbvChainState:
-    """One chain's pcr-vbv state: the working matrix's running correlation,
-    each column's spread, and each target's last extraction with its block."""
-
-    running: RunningCorrelation
-    spread: np.ndarray
-    last: dict[int, tuple[np.ndarray, PcaResult]] = field(default_factory=dict)
-
-    @classmethod
-    def of(cls, working: np.ndarray) -> _VbvChainState:
-        return cls(RunningCorrelation.of(working), np.ptp(working, axis=0))
-
-    def refresh(self, working: np.ndarray, column: int) -> None:
-        """Account for new values in ``working[:, column]``."""
-        self.running.refresh(working, column)
-        self.spread[column] = np.ptp(working[:, column])
-
-    def extract(
-        self, working: np.ndarray, target: int, block_ids: np.ndarray, q: int
-    ) -> np.ndarray:
-        """Component scores of the block, warm-started from the target's last block."""
-        last = self.last.get(target)
-        previous = last[1] if last is not None and np.array_equal(last[0], block_ids) else None
-        result = pca(working, q, columns=block_ids, running=self.running, previous=previous)
-        self.last[target] = (block_ids, result)
-        return result.scores
-
-
 def _drop_constants(
     working: np.ndarray,
     column_ids: np.ndarray,
@@ -322,7 +293,7 @@ class _Plan:
         """Settle each target's raw columns and, for the pcr plans, q."""
         raise NotImplementedError
 
-    def new_chain(self, working: np.ndarray) -> _VbvChainState | None:
+    def new_chain(self, working: np.ndarray) -> RunningCorrelation | None:
         """Per-chain state, made from the chain's initial fill."""
         return None
 
@@ -381,8 +352,8 @@ class _VbvPlan(_Plan):
         self.raw = {}
         self.resolved_components = _resolve_components(spec, data, data.n_cols - 1, self.raw)
 
-    def new_chain(self, working: np.ndarray) -> _VbvChainState:
-        return _VbvChainState.of(working)
+    def new_chain(self, working: np.ndarray) -> RunningCorrelation:
+        return RunningCorrelation.of(working)
 
     def scores(self, working, target, state) -> np.ndarray | None:
         block_ids = np.delete(np.arange(working.shape[1]), target)
@@ -391,7 +362,7 @@ class _VbvPlan(_Plan):
             return None
         q = min(self.resolved_components, max_components(working.shape[0], block_ids.size))
         self.pca_count += 1
-        return state.extract(working, target, block_ids, q)
+        return pca(working, q, columns=block_ids, running=state).scores
 
 
 class _AllPlan(_Plan):
@@ -439,6 +410,11 @@ def _fixed_scores(spec, data, columns, plan) -> np.ndarray:
     completed = data.values.copy()
     completed[:, columns] = _prepass_complete(spec, block, prepass_rng)
     live = _drop_constants(completed, columns, plan)
+    if live.size == 0:
+        raise ValueError(
+            f"{spec.strategy} cannot extract components: every column of its "
+            "component block is constant"
+        )
     q = min(plan.resolved_components, max_components(completed.shape[0], live.size))
     plan.pca_count += 1
     return pca(completed[:, live], q).scores
@@ -448,7 +424,7 @@ def build_predictors(
     plan: _Plan,
     working: np.ndarray,
     target: int,
-    state: _VbvChainState | None = None,
+    state: RunningCorrelation | None = None,
 ) -> np.ndarray:
     """Assemble the predictor matrix for one column visit.
 
@@ -596,13 +572,15 @@ def _resolve_components(
         observed_counts = data.mask.sum(axis=0)
         resolved = ceiling
         for j in data.incomplete_columns().tolist():
-            budget = int(observed_counts[j]) - 2 - raw.get(j, _NO_COLUMNS).size
+            n_raw = raw.get(j, _NO_COLUMNS).size
+            budget = int(observed_counts[j]) - 2 - n_raw
+            if budget < 1:
+                raise ValueError(
+                    f"{spec.strategy} cannot resolve a positive component count within "
+                    f"the per-target predictor budget: column {data.names[j]!r} has "
+                    f"{observed_counts[j]} observed cases and {n_raw} raw predictors"
+                )
             resolved = min(resolved, budget)
-        if resolved < 1:
-            raise ValueError(
-                "cannot resolve a positive component count within the "
-                "per-target predictor budget"
-            )
         return int(resolved)
     if int(spec.n_components) > ceiling:
         raise ValueError(

@@ -11,7 +11,7 @@ runs on identical input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,21 +107,27 @@ class RunningCorrelation:
     """Standardized copy of a matrix and its correlation matrix, kept current.
 
     When one column of the source matrix changes, ``refresh`` recomputes
-    that column's statistics and standardized values and then row and
-    column ``j`` of the correlation matrix from the standardized copy, in
-    O(n_rows * n_cols).  Every entry is recomputed rather than updated
-    additively, so no rounding drift builds up over many refreshes.
+    that column's statistics, spread (max - min) and standardized values
+    and then row and column ``j`` of the correlation matrix from the
+    standardized copy, in O(n_rows * n_cols).  Every entry is recomputed
+    rather than updated additively, so no rounding drift builds up over
+    many refreshes.  ``solved`` holds the last extraction from each
+    column block, keyed by ``columns.tobytes()``; the next solve of the
+    same block starts from it.
     """
 
     standardized: np.ndarray
     centers: np.ndarray
     scales: np.ndarray
     correlation: np.ndarray
+    spread: np.ndarray
+    solved: dict[bytes, PcaResult] = field(default_factory=dict)
 
     @classmethod
     def of(cls, matrix: np.ndarray) -> RunningCorrelation:
         standardized, centers, scales = standardize(matrix)
-        return cls(standardized, centers, scales, _correlation(standardized))
+        spread = np.ptp(matrix, axis=0)
+        return cls(standardized, centers, scales, _correlation(standardized), spread)
 
     def refresh(self, matrix: np.ndarray, column: int) -> None:
         """Bring column ``column`` up to date with ``matrix[:, column]``."""
@@ -131,6 +137,7 @@ class RunningCorrelation:
         self.standardized[:, column] = (values - center) / scale
         self.centers[column] = center
         self.scales[column] = scale
+        self.spread[column] = np.ptp(values)
         row = self.standardized.T @ self.standardized[:, column] / (matrix.shape[0] - 1)
         self.correlation[column, :] = row
         self.correlation[:, column] = row
@@ -184,11 +191,10 @@ def _warm_start_fits(previous: PcaResult | None, n_cols: int, n_components: int)
 
 
 def _running_components(
-    running: RunningCorrelation,
-    columns: np.ndarray,
-    n_components: int,
-    previous: PcaResult | None,
+    running: RunningCorrelation, columns: np.ndarray, n_components: int
 ) -> PcaResult:
+    key = columns.tobytes()
+    previous = running.solved.get(key)
     corr = running.correlation[np.ix_(columns, columns)]
     solved = None
     if _warm_start_fits(previous, columns.size, n_components):
@@ -204,7 +210,7 @@ def _running_components(
     # Scores from the whole standardized matrix, zero weight off the block.
     embedded = np.zeros((running.standardized.shape[1], n_components))
     embedded[columns] = weights
-    return PcaResult(
+    result = PcaResult(
         scores=running.standardized @ embedded,
         weights=weights,
         eigenvalues=eigenvalues.copy(),
@@ -213,6 +219,8 @@ def _running_components(
         next_eigenvalue=next_eigenvalue,
         warm_steps=steps,
     )
+    running.solved[key] = result
+    return result
 
 
 def pca(
@@ -221,7 +229,6 @@ def pca(
     *,
     columns: np.ndarray | None = None,
     running: RunningCorrelation | None = None,
-    previous: PcaResult | None = None,
 ) -> PcaResult:
     """Extract the leading principal components of ``matrix``.
 
@@ -240,47 +247,30 @@ def pca(
         Extract from the block ``matrix[:, columns]`` only.
     running : RunningCorrelation, optional
         The current standardization and correlation matrix of ``matrix``;
-        they are used as they are instead of being recomputed.
-    previous : PcaResult, optional
-        An earlier result on a nearby matrix with the same block and
-        count, used with ``running`` to warm-start a leading-component
-        solve.  The exact ``eigh`` is used instead when the warm start
-        is missing or does not fit, when the gap after the last retained
-        eigenvalue is small, when ``n_components`` is large against the
-        block, or when the solve misses its residual check within its
-        step budget.  Warm results agree with the exact ones to the
-        residual tolerance, not bit for bit.
+        they are used as they are instead of being recomputed.  Without
+        it, fresh state is built from the block, so the solve is exact.
+
+    The solve warm-starts from ``running``'s last solve of the same
+    block.  The exact ``eigh`` is used instead when there is none, when
+    its count differs, when the gap after the last retained eigenvalue
+    is small, when ``n_components`` is large against the block, or when
+    the warm solve misses its residual check within its step budget.
+    Warm results agree with the exact ones to the residual tolerance,
+    not bit for bit.
     """
-    if running is not None:
-        if columns is None:
-            columns = np.arange(running.correlation.shape[0])
-        columns = np.asarray(columns)
-        limit = max_components(running.standardized.shape[0], columns.size)
-    else:
-        if previous is not None:
-            raise ValueError("a warm start needs the running correlation state")
+    if running is None:
         matrix = np.asarray(matrix, dtype=float)
-        if columns is not None:
-            matrix = matrix[:, columns]
-        standardized, centers, scales = standardize(matrix)
-        limit = max_components(*matrix.shape)
+        running = RunningCorrelation.of(matrix if columns is None else matrix[:, columns])
+        columns = None
+    if columns is None:
+        columns = np.arange(running.correlation.shape[0])
+    columns = np.asarray(columns)
+    limit = max_components(running.standardized.shape[0], columns.size)
     if not 1 <= int(n_components) <= limit:
         raise ValueError(
             f"n_components must be in [1, {limit}], got {n_components}"
         )
-    n_components = int(n_components)
-    if running is not None:
-        return _running_components(running, columns, n_components, previous)
-    eigenvalues, vectors = _oriented_descending_eigh(_correlation(standardized))
-    weights = vectors[:, :n_components]
-    return PcaResult(
-        scores=standardized @ weights,
-        weights=weights,
-        eigenvalues=eigenvalues[:n_components].copy(),
-        centers=centers,
-        scales=scales,
-        next_eigenvalue=float(eigenvalues[n_components]) if n_components < limit else 0.0,
-    )
+    return _running_components(running, columns, int(n_components))
 
 
 def correlation_eigenvalues(matrix: np.ndarray) -> np.ndarray:

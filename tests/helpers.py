@@ -66,3 +66,27 @@ def study_dataset(
     mar_ids = [j for j, role in enumerate(roles) if role == ROLE_MAR]
     data = ampute(coarse, roles, cond, np.random.default_rng(amp_child), values[:, mar_ids])
     return data, coarse, cond
+
+
+def few_observed_target(seed: int = 83) -> IncompleteData:
+    """n = 40, p = 20 normal data; analysis ``x1``, ``x2``; ``x2`` keeps 3 observed cells.
+
+    Under ``pcr-aux`` with q = "max", ``x2``'s predictor budget (3 - 2
+    minus its one raw predictor) leaves no room for a component.
+    """
+    values = np.random.default_rng(seed).standard_normal((40, 20))
+    values[3:, 1] = np.nan
+    values[:5, 0] = np.nan
+    return IncompleteData.from_matrix(values).with_roles(analysis=["x1", "x2"])
+
+
+def constant_auxiliary_block(seed: int = 89) -> IncompleteData:
+    """n = 40, p = 6; analysis ``x1``, ``x2`` incomplete; ``x3``-``x6`` constant.
+
+    ``pcr-aux`` extracts its components from the constant columns only.
+    """
+    values = np.random.default_rng(seed).standard_normal((40, 6))
+    values[:, 2:] = 1.0
+    values[:6, 0] = np.nan
+    values[-6:, 1] = np.nan
+    return IncompleteData.from_matrix(values).with_roles(analysis=["x1", "x2"])

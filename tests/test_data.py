@@ -11,7 +11,6 @@ from pcimpute.data import (
     IncompleteData,
     ROLE_ANALYSIS,
     ROLE_AUXILIARY,
-    column_subset,
     complete_case_rows,
     load_csv,
     response_proportions,
@@ -70,19 +69,6 @@ class TestIncompleteData:
         values = np.array([[1.0, np.nan, 2.0], [np.nan, 1.0, 2.0]])
         data = IncompleteData.from_matrix(values)
         assert data.incomplete_columns().tolist() == [0, 1]
-
-
-class TestColumnSubset:
-    def test_valid_subset_preserves_order(self):
-        assert column_subset(5, [3, 0, 2]).tolist() == [3, 0, 2]
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            column_subset(5, [1, 1])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="range"):
-            column_subset(3, [0, 3])
 
 
 class TestHelpers:

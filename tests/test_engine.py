@@ -25,8 +25,14 @@ from pcimpute.engine import (
     run_impute,
 )
 from pcimpute.imputers import IMPUTER_KINDS, IMPUTER_PMM
-from pcimpute.pca import pca
-from tests.helpers import assert_observed_preserved, make_incomplete, study_dataset
+from pcimpute.pca import RunningCorrelation, pca
+from tests.helpers import (
+    assert_observed_preserved,
+    constant_auxiliary_block,
+    few_observed_target,
+    make_incomplete,
+    study_dataset,
+)
 
 
 def _spec(strategy, **kwargs):
@@ -313,6 +319,18 @@ class TestComponentResolution:
         with pytest.raises(ValueError, match="exceeds the extractable"):
             run_impute(_spec(STRATEGY_VBV, n_components=6), data)
 
+    def test_q_error_names_the_binding_column(self):
+        with pytest.raises(
+            ValueError, match=r"^pcr-aux .* column 'x2' has 3 observed cases and 1 raw"
+        ):
+            run_impute(_spec(STRATEGY_AUX), few_observed_target())
+
+    def test_constant_component_block_is_named(self):
+        with pytest.raises(
+            ValueError, match=r"^pcr-aux .* every column of its component block is constant"
+        ):
+            run_impute(_spec(STRATEGY_AUX, n_components=1), constant_auxiliary_block())
+
     def test_non_pcr_strategies_resolve_none(self):
         data = make_incomplete(seed=67)
         result = run_impute(_spec(STRATEGY_QUICKPRED, chains=1, iterations=1), data)
@@ -398,17 +416,17 @@ class TestVbvRunningPca:
 
     def test_column_turning_constant_falls_back(self, wide, caplog):
         working = np.where(wide.mask, wide.values, 0.0)
-        state = engine._VbvChainState.of(working)
+        state = RunningCorrelation.of(working)
         every = np.delete(np.arange(working.shape[1]), 0)
-        state.extract(working, 0, every, 7)
+        pca(working, 7, columns=every, running=state)
         working[:, 9] = 1.5
         state.refresh(working, 9)
         with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
             plan = engine._VbvPlan(_spec(STRATEGY_VBV, n_components=7), wide)
             live = engine._drop_constants(working, every, plan, state.spread)
         assert 9 not in live and any(wide.names[9] in rec.message for rec in caplog.records)
-        scores = state.extract(working, 0, live, 7)
-        assert state.last[0][1].warm_steps == 0
+        scores = pca(working, 7, columns=live, running=state).scores
+        assert state.solved[live.tobytes()].warm_steps == 0
         np.testing.assert_allclose(scores, pca(working[:, live], 7).scores, atol=1e-8)
 
     @pytest.mark.parametrize("imputer", IMPUTER_KINDS)

@@ -165,13 +165,13 @@ class TestRunningPca:
         x = _factor_matrix(7)
         ids = np.delete(np.arange(x.shape[1]), 0)
         running = RunningCorrelation.of(x)
-        previous = pca(x, 3, columns=ids, running=running)
+        pca(x, 3, columns=ids, running=running)
         rng = np.random.default_rng(8)
         for column in (1, 2, 3):
             gap = rng.random(x.shape[0]) < 0.3
             x[gap, column] = rng.standard_normal(int(gap.sum()))
             running.refresh(x, column)
-        warm = pca(x, 3, columns=ids, running=running, previous=previous)
+        warm = pca(x, 3, columns=ids, running=running)
         assert warm.warm_steps > 0
         _assert_same_components(warm, pca(x[:, ids], 3))
         for j in range(3):
@@ -184,31 +184,42 @@ class TestRunningPca:
         running = RunningCorrelation.of(x)
         previous = pca(x, 1, running=running)
         assert previous.eigenvalues[0] - previous.next_eigenvalue < 0.25 * previous.eigenvalues[0]
-        result = pca(x, 1, running=running, previous=previous)
+        result = pca(x, 1, running=running)
         assert result.warm_steps == 0
         _assert_same_components(result, pca(x, 1))
 
     def test_large_component_count_falls_back(self):
         x = _factor_matrix(11, n_cols=20)
         running = RunningCorrelation.of(x)
-        previous = pca(x, 10, running=running)
-        result = pca(x, 10, running=running, previous=previous)
+        pca(x, 10, running=running)
+        result = pca(x, 10, running=running)
         assert result.warm_steps == 0
         _assert_same_components(result, pca(x, 10))
+
+    def test_each_block_keeps_its_own_warm_start(self):
+        x = _factor_matrix(15)
+        running = RunningCorrelation.of(x)
+        left, right = np.arange(1, 60), np.arange(0, 59)
+        pca(x, 3, columns=left, running=running)
+        pca(x, 3, columns=right, running=running)
+        x[:, 30] = x[::-1, 30]
+        running.refresh(x, 30)
+        x[:, 59] = 2.0
+        running.refresh(x, 59)
+        np.testing.assert_array_equal(running.spread, np.ptp(x, axis=0))
+        for block in (left, right):
+            warm = pca(x, 3, columns=block, running=running)
+            assert warm.warm_steps > 0
+            assert running.solved[block.tobytes()] is warm
+            _assert_same_components(warm, pca(x[:, block], 3))
 
     def test_changed_block_falls_back(self):
         x = _factor_matrix(13)
         running = RunningCorrelation.of(x)
-        previous = pca(x, 3, columns=np.arange(1, 60), running=running)
-        result = pca(x, 3, columns=np.arange(2, 60), running=running, previous=previous)
+        pca(x, 3, columns=np.arange(1, 60), running=running)
+        result = pca(x, 3, columns=np.arange(2, 60), running=running)
         assert result.warm_steps == 0
         _assert_same_components(result, pca(x[:, 2:], 3))
-
-    def test_warm_start_needs_running_state(self):
-        x = _factor_matrix(15)
-        previous = pca(x, 2)
-        with pytest.raises(ValueError, match="running"):
-            pca(x, 2, previous=previous)
 
 
 class TestEnumerationRules:
