@@ -30,7 +30,7 @@ from .engine import (
 )
 from .imputers import IMPUTER_BAYES, IMPUTER_KINDS, IMPUTER_PMM
 from .pca import EnumerationRule, correlation_eigenvalues, enumerate_components
-from .pooling import ParameterId, estimate_parameter, rubin_pool
+from .pooling import PARAMETER_KINDS, ParameterId, analyze_set
 from .simulation import (
     MethodSetting,
     SimulationCondition,
@@ -47,13 +47,6 @@ _RULE_ALIASES = {
     "pa": "parallel-analysis",
     "oc": "optimal-coordinates",
     "af": "acceleration-factor",
-}
-
-_PARAM_ALIASES = {
-    "mean": "mean",
-    "var": "variance",
-    "cov": "covariance",
-    "corr": "correlation",
 }
 
 
@@ -323,18 +316,16 @@ def cmd_impute(args) -> int:
 
 def _parse_params(raw: str, names: list[str]) -> list[tuple[str, ParameterId]]:
     index = {name: j for j, name in enumerate(names)}
+    kinds = {short: kind for kind, (short, _) in PARAMETER_KINDS.items()}
     out = []
     for item in raw.split(","):
         item = item.strip()
         if not item:
             continue
         parts = item.split(":")
-        kind = _PARAM_ALIASES.get(parts[0])
+        kind = kinds.get(parts[0])
         if kind is None:
             raise UsageError(f"unknown parameter kind {parts[0]!r} in {item!r}")
-        expected = 1 if kind in ("mean", "variance") else 2
-        if len(parts) - 1 != expected:
-            raise UsageError(f"{item!r}: {parts[0]} takes {expected} column(s)")
         columns = []
         for name in parts[1:]:
             if name not in index:
@@ -363,6 +354,7 @@ def cmd_pool(args) -> int:
         if not dataset.mask.all():
             raise ValueError(f"{path}: completed files may not contain missing cells")
     params = _parse_params(args.params, names)
+    pooled = analyze_set([dataset.values for dataset in datasets], [pid for _, pid in params])
     out_dir = Path(args.out_dir) if args.out_dir else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / args.out
@@ -371,14 +363,11 @@ def cmd_pool(args) -> int:
             "parameter,estimate,within_var,between_var,total_var,df,ci_lower,ci_upper\n"
         )
         for label, pid in params:
-            pairs = [estimate_parameter(dataset.values, pid) for dataset in datasets]
-            pooled = rubin_pool(
-                [e for e, _ in pairs], [v for _, v in pairs], pid.kind, shape[0]
-            )
+            row = pooled[pid]
             handle.write(
-                f"{label},{pooled.estimate!r},{pooled.within_var!r},"
-                f"{pooled.between_var!r},{pooled.total_var!r},{pooled.df!r},"
-                f"{pooled.ci_lower!r},{pooled.ci_upper!r}\n"
+                f"{label},{row.estimate!r},{row.within_var!r},"
+                f"{row.between_var!r},{row.total_var!r},{row.df!r},"
+                f"{row.ci_lower!r},{row.ci_upper!r}\n"
             )
     print(f"wrote {out_path}")
     return 0

@@ -48,6 +48,7 @@ from .imputers import (
     DEFAULT_RIDGE,
     IMPUTER_BAYES,
     IMPUTER_KINDS,
+    IMPUTER_PMM,
     draw_linear_params,
     draw_predictive,
     pmm_impute,
@@ -560,34 +561,36 @@ def _resolve_components(
     """Settle the component count from a plan's predictor budget.
 
     Components come from ``block`` columns and each target also keeps
-    its ``raw`` columns.  For ``"max"`` the count is the largest q such that every target's
-    regression keeps at least one residual degree of freedom: the block
-    bound ``min(n_rows, block)`` intersected with each target's budget
-    of ``observed cases - 2`` total predictors, its raw columns included.
+    its ``raw`` columns.  Every target's regression must keep at least
+    one residual degree of freedom: its budget is ``observed cases - 2``
+    total predictors, its raw columns included.  For ``"max"`` the count
+    is the largest q within the block bound ``min(n_rows, block)`` and
+    every target's budget; a numeric q must fit both as it is.
     """
     if block < 1:
         raise ValueError(f"{spec.strategy} has no columns to extract components from")
     ceiling = max_components(data.n_rows, block)
-    if spec.n_components == MAX_COMPONENTS:
-        observed_counts = data.mask.sum(axis=0)
-        resolved = ceiling
-        for j in data.incomplete_columns().tolist():
-            n_raw = raw.get(j, _NO_COLUMNS).size
-            budget = int(observed_counts[j]) - 2 - n_raw
-            if budget < 1:
-                raise ValueError(
-                    f"{spec.strategy} cannot resolve a positive component count within "
-                    f"the per-target predictor budget: column {data.names[j]!r} has "
-                    f"{observed_counts[j]} observed cases and {n_raw} raw predictors"
-                )
-            resolved = min(resolved, budget)
-        return int(resolved)
-    if int(spec.n_components) > ceiling:
+    wants_max = spec.n_components == MAX_COMPONENTS
+    if not wants_max and int(spec.n_components) > ceiling:
         raise ValueError(
             f"n_components={spec.n_components} exceeds the extractable "
             f"maximum {ceiling} for {spec.strategy}"
         )
-    return int(spec.n_components)
+    resolved = ceiling if wants_max else int(spec.n_components)
+    least = 1 if wants_max else resolved
+    observed_counts = data.mask.sum(axis=0)
+    for j in data.incomplete_columns().tolist():
+        n_raw = raw.get(j, _NO_COLUMNS).size
+        budget = int(observed_counts[j]) - 2 - n_raw
+        if budget < least:
+            count = "a positive component count" if wants_max else f"n_components={resolved}"
+            raise ValueError(
+                f"{spec.strategy} cannot resolve {count} within the per-target "
+                f"predictor budget: column {data.names[j]!r} has "
+                f"{observed_counts[j]} observed cases and {n_raw} raw predictors"
+            )
+        resolved = min(resolved, budget)
+    return resolved
 
 
 def run_impute(spec: ImputationSpec, data: IncompleteData) -> MultiplyImputedSet:
@@ -601,16 +604,19 @@ def run_impute(spec: ImputationSpec, data: IncompleteData) -> MultiplyImputedSet
     Raises
     ------
     ValueError
-        If any incomplete column has fewer than three observed cells,
-        or an imputation model fails (reported with chain, iteration,
-        and column).
+        If any incomplete column has fewer than three observed cells, or
+        under pmm fewer than ``spec.donors``; if the strategy's component
+        count does not fit its predictor budget; or if an imputation
+        model fails (reported with chain, iteration, and column).
     """
-    targets = data.incomplete_columns()
     observed_counts = data.mask.sum(axis=0)
-    for j in targets:
-        if observed_counts[int(j)] < 3:
+    for j in data.incomplete_columns().tolist():
+        if observed_counts[j] < 3:
+            raise ValueError(f"column {data.names[j]!r} has fewer than three observed cells")
+        if spec.imputer == IMPUTER_PMM and observed_counts[j] < spec.donors:
             raise ValueError(
-                f"column {data.names[int(j)]!r} has fewer than three observed cells"
+                f"column {data.names[j]!r} has {observed_counts[j]} observed cells, "
+                f"fewer than the {spec.donors} pmm donors"
             )
     root = np.random.SeedSequence(spec.seed)
     children = root.spawn(spec.chains + 1)  # child 0 is the pre-pass stream

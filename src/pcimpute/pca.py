@@ -66,8 +66,6 @@ class PcaResult:
         Orthonormal weight columns under the fixed orientation rule.
     eigenvalues : ndarray, shape (q,)
         Leading correlation-matrix eigenvalues, nonincreasing.
-    centers, scales : ndarray, shape (n_cols,)
-        Column statistics used for standardization.
     next_eigenvalue : float
         Eigenvalue ``n_components + 1`` (0.0 when every component is
         kept).  A warm-started solve carries its warm start's value on.
@@ -78,8 +76,6 @@ class PcaResult:
     scores: np.ndarray
     weights: np.ndarray
     eigenvalues: np.ndarray
-    centers: np.ndarray
-    scales: np.ndarray
     next_eigenvalue: float = 0.0
     warm_steps: int = 0
 
@@ -117,17 +113,15 @@ class RunningCorrelation:
     """
 
     standardized: np.ndarray
-    centers: np.ndarray
-    scales: np.ndarray
     correlation: np.ndarray
     spread: np.ndarray
     solved: dict[bytes, PcaResult] = field(default_factory=dict)
 
     @classmethod
     def of(cls, matrix: np.ndarray) -> RunningCorrelation:
-        standardized, centers, scales = standardize(matrix)
+        standardized, _, _ = standardize(matrix)
         spread = np.ptp(matrix, axis=0)
-        return cls(standardized, centers, scales, _correlation(standardized), spread)
+        return cls(standardized, _correlation(standardized), spread)
 
     def refresh(self, matrix: np.ndarray, column: int) -> None:
         """Bring column ``column`` up to date with ``matrix[:, column]``."""
@@ -135,8 +129,6 @@ class RunningCorrelation:
         center = values.mean()
         scale = values.std(ddof=1) or 1.0
         self.standardized[:, column] = (values - center) / scale
-        self.centers[column] = center
-        self.scales[column] = scale
         self.spread[column] = np.ptp(values)
         row = self.standardized.T @ self.standardized[:, column] / (matrix.shape[0] - 1)
         self.correlation[column, :] = row
@@ -214,8 +206,6 @@ def _running_components(
         scores=running.standardized @ embedded,
         weights=weights,
         eigenvalues=eigenvalues.copy(),
-        centers=running.centers[columns],
-        scales=running.scales[columns],
         next_eigenvalue=next_eigenvalue,
         warm_steps=steps,
     )

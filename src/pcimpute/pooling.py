@@ -16,9 +16,16 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
-PARAMETER_KINDS = ("mean", "variance", "covariance", "correlation")
+# Each kind's short tag (as in ``corr(x1,x2)``) and column count; the
+# column count is also the complete-data degrees of freedom it uses up.
+PARAMETER_KINDS = {
+    "mean": ("mean", 1),
+    "variance": ("var", 1),
+    "covariance": ("cov", 2),
+    "correlation": ("corr", 2),
+}
 
 
 @dataclass(frozen=True)
@@ -36,7 +43,7 @@ class ParameterId:
     def __post_init__(self) -> None:
         if self.kind not in PARAMETER_KINDS:
             raise ValueError(f"unknown parameter kind {self.kind!r}")
-        expected = 1 if self.kind in ("mean", "variance") else 2
+        _, expected = PARAMETER_KINDS[self.kind]
         if len(self.columns) != expected:
             raise ValueError(f"{self.kind} takes exactly {expected} column(s)")
         if expected == 2 and self.columns[0] == self.columns[1]:
@@ -44,19 +51,19 @@ class ParameterId:
 
     def label(self, names: list[str]) -> str:
         """Readable tag such as ``corr(x1,x2)`` for CSV output."""
-        short = {"mean": "mean", "variance": "var", "covariance": "cov", "correlation": "corr"}
+        short, _ = PARAMETER_KINDS[self.kind]
         inside = ",".join(names[j] for j in self.columns)
-        return f"{short[self.kind]}({inside})"
+        return f"{short}({inside})"
 
 
 def moment_parameter_ids(column_indices) -> list[ParameterId]:
     """All means, variances, covariances, and correlations of the columns."""
     cols = [int(j) for j in column_indices]
-    out = [ParameterId("mean", (j,)) for j in cols]
-    out += [ParameterId("variance", (j,)) for j in cols]
-    out += [ParameterId("covariance", pair) for pair in combinations(cols, 2)]
-    out += [ParameterId("correlation", pair) for pair in combinations(cols, 2)]
-    return out
+    return [
+        ParameterId(kind, columns)
+        for kind, (_, count) in PARAMETER_KINDS.items()
+        for columns in combinations(cols, count)
+    ]
 
 
 def estimate_parameter(matrix: np.ndarray, pid: ParameterId) -> tuple[float, float]:
@@ -126,8 +133,7 @@ def rubin_pool(estimates, variances, kind: str, n_rows: int) -> PooledEstimate:
         Parameter kind; correlations are back-transformed with ``tanh``.
     n_rows : int
         Analysis sample size, fixing the complete-data degrees of
-        freedom at ``n_rows - k`` (k = 2 for covariance/correlation,
-        else 1).
+        freedom at ``n_rows`` minus the kind's column count.
 
     Raises
     ------
@@ -149,8 +155,7 @@ def rubin_pool(estimates, variances, kind: str, n_rows: int) -> PooledEstimate:
     within = float(variances.mean())
     between = float(estimates.var(ddof=1))
     total = within + (1.0 + 1.0 / m) * between
-    k = 2 if kind in ("covariance", "correlation") else 1
-    df_complete = n_rows - k
+    df_complete = n_rows - PARAMETER_KINDS[kind][1]
     if within == 0.0 and between > 0.0:
         raise ValueError(
             f"{kind} estimates vary across completions but every within-completion "
@@ -163,21 +168,12 @@ def rubin_pool(estimates, variances, kind: str, n_rows: int) -> PooledEstimate:
         df_old = (m - 1) / lam**2
         df_obs = (df_complete + 1.0) / (df_complete + 3.0) * df_complete * (1.0 - lam)
         df = df_old * df_obs / (df_old + df_obs)
-    half = float(stats.t.ppf(0.975, df)) * math.sqrt(total)
-    lower, upper = qbar - half, qbar + half
+    half = float(stdtrit(df, 0.975)) * math.sqrt(total)
+    estimate, lower, upper = qbar, qbar - half, qbar + half
     if kind == "correlation":
-        return PooledEstimate(
-            estimate=math.tanh(qbar),
-            within_var=within,
-            between_var=between,
-            total_var=total,
-            df=df,
-            ci_lower=math.tanh(lower),
-            ci_upper=math.tanh(upper),
-            m=m,
-        )
+        estimate, lower, upper = math.tanh(estimate), math.tanh(lower), math.tanh(upper)
     return PooledEstimate(
-        estimate=qbar,
+        estimate=estimate,
         within_var=within,
         between_var=between,
         total_var=total,
@@ -188,12 +184,12 @@ def rubin_pool(estimates, variances, kind: str, n_rows: int) -> PooledEstimate:
     )
 
 
-def analyze_set(mi_set, pids) -> dict[ParameterId, PooledEstimate]:
-    """Estimate and pool each parameter across a set's completions."""
-    n_rows = mi_set.completions[0].shape[0]
+def analyze_set(completions, pids) -> dict[ParameterId, PooledEstimate]:
+    """Estimate and pool each parameter across a set of completed matrices."""
+    n_rows = completions[0].shape[0]
     out: dict[ParameterId, PooledEstimate] = {}
     for pid in pids:
-        pairs = [estimate_parameter(completion, pid) for completion in mi_set.completions]
+        pairs = [estimate_parameter(completion, pid) for completion in completions]
         out[pid] = rubin_pool(
             [e for e, _ in pairs], [v for _, v in pairs], pid.kind, n_rows
         )

@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from .data import ROLE_ANALYSIS, ROLE_AUXILIARY, ROLE_MAR, IncompleteData
 from .engine import (
@@ -294,10 +293,17 @@ def mar_diagnostics(data: IncompleteData, mar_values: np.ndarray) -> list[dict]:
             np.sum(indicator * np.log(base) + (1.0 - indicator) * np.log(1.0 - base))
         )
         fitted = block @ beta[1:] + beta[0]
-        ranks = rankdata(fitted)
+        # Mann-Whitney: each (missing, observed) pair with the missing row
+        # scored higher counts 2, a tie counts 1, so the sum is exactly 2U.
+        observed_scores = np.sort(fitted[indicator == 0])
+        missing_scores = fitted[indicator == 1]
+        twice_u = (
+            np.searchsorted(observed_scores, missing_scores, "left").sum()
+            + np.searchsorted(observed_scores, missing_scores, "right").sum()
+        )
         n_pos = indicator.sum()
         n_neg = len(indicator) - n_pos
-        auc = float((ranks[indicator == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+        auc = float(twice_u / (2 * n_pos * n_neg))
         out.append(
             {
                 "column": int(j),
@@ -443,7 +449,7 @@ def _replication(args) -> tuple[dict, list[str]]:
         started = timer()
         try:
             imputed_set = run_impute(spec, data)
-            pooled = analyze_set(imputed_set, pids)
+            pooled = analyze_set(imputed_set.completions, pids)
         except Exception as err:  # noqa: BLE001 - failures are data, not crashes
             failures.append(
                 f"condition {cond_index}, rep {rep}, method {method.strategy}"

@@ -68,14 +68,14 @@ def study_dataset(
     return data, coarse, cond
 
 
-def few_observed_target(seed: int = 83) -> IncompleteData:
-    """n = 40, p = 20 normal data; analysis ``x1``, ``x2``; ``x2`` keeps 3 observed cells.
+def few_observed_target(seed: int = 83, observed: int = 3) -> IncompleteData:
+    """n = 40, p = 20 normal data; analysis ``x1``, ``x2``; ``x2`` keeps ``observed`` cells.
 
-    Under ``pcr-aux`` with q = "max", ``x2``'s predictor budget (3 - 2
-    minus its one raw predictor) leaves no room for a component.
+    With 3, under ``pcr-aux`` with q = "max", ``x2``'s predictor budget
+    (3 - 2 minus its one raw predictor) leaves no room for a component.
     """
     values = np.random.default_rng(seed).standard_normal((40, 20))
-    values[3:, 1] = np.nan
+    values[observed:, 1] = np.nan
     values[:5, 0] = np.nan
     return IncompleteData.from_matrix(values).with_roles(analysis=["x1", "x2"])
 

@@ -207,6 +207,29 @@ class TestPoolCommand:
         assert float(corr_row[5]) == expected.df
         assert float(corr_row[6]) == expected.ci_lower
 
+    def test_repeated_entry_writes_one_row_each(self, tmp_path, capsys):
+        paths, _ = self._completed_files(tmp_path)
+        code = main([
+            "pool", "--inputs", *paths, "--params", "corr:x1:x2,mean:x1,corr:x1:x2",
+            "--out-dir", str(tmp_path), "--out", "pooled.csv",
+        ])
+        assert code == 0
+        rows = _read_rows(tmp_path / "pooled.csv")
+        assert [row[0] for row in rows[1:]] == ["corr:x1:x2", "mean:x1", "corr:x1:x2"]
+        assert rows[1] == rows[3]
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [("mean:x1:x2", "mean takes exactly 1 column(s)"),
+         ("corr:x1", "correlation takes exactly 2 column(s)")],
+    )
+    def test_wrong_column_count_rejected(self, tmp_path, capsys, params, message):
+        paths, _ = self._completed_files(tmp_path)
+        assert main([
+            "pool", "--inputs", *paths, "--params", params, "--out-dir", str(tmp_path),
+        ]) == 1
+        assert message in capsys.readouterr().err
+
     def test_single_input_rejected(self, tmp_path, capsys):
         paths, _ = self._completed_files(tmp_path)
         assert main(["pool", "--inputs", paths[0], "--params", "mean:x1"]) == 1
@@ -423,3 +446,13 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
         assert "impute" in proc.stdout
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, pcimpute.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -325,6 +325,19 @@ class TestComponentResolution:
         ):
             run_impute(_spec(STRATEGY_AUX), few_observed_target())
 
+    @pytest.mark.parametrize("strategy", [STRATEGY_VBV, STRATEGY_ALL, STRATEGY_AUX])
+    def test_numeric_count_checked_against_target_budget(self, strategy, monkeypatch):
+        prepasses = []
+        monkeypatch.setattr(engine, "_prepass_complete", lambda *args: prepasses.append(args))
+        raw = 1 if strategy == STRATEGY_AUX else 0
+        with pytest.raises(
+            ValueError,
+            match=rf"^{strategy} cannot resolve n_components=5 .* column 'x2' has 5 "
+            rf"observed cases and {raw} raw predictors",
+        ):
+            run_impute(_spec(strategy, n_components=5), few_observed_target(observed=5))
+        assert prepasses == []
+
     def test_constant_component_block_is_named(self):
         with pytest.raises(
             ValueError, match=r"^pcr-aux .* every column of its component block is constant"
@@ -351,13 +364,27 @@ class TestPrepass:
         completed = prepass_single_impute(data, np.random.default_rng(1))
         np.testing.assert_array_equal(completed, values)
 
-    def test_failure_names_stage_chain_and_column(self):
+    def test_failure_names_stage_chain_and_column(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(engine, "pmm_impute", fail)
+        data, _, _ = study_dataset(seed=4, n_rows=30, factors=2, items_per_factor=28)
+        with pytest.raises(
+            ValueError, match=r"^pre-pass chain 0, iteration 1, column 'x1': injected"
+        ):
+            run_impute(_spec(STRATEGY_ALL, imputer=IMPUTER_PMM), data)
+
+    def test_too_few_cells_for_pmm_donors_refused_up_front(self, monkeypatch):
+        prepasses = []
+        monkeypatch.setattr(engine, "_prepass_complete", lambda *args: prepasses.append(args))
         # p = 36 with 20 observed target cells: too few for 25 pmm donors.
         data, _, _ = study_dataset(seed=4, n_rows=30, factors=2, items_per_factor=28)
         with pytest.raises(
-            ValueError, match=r"^pre-pass chain 0, iteration 1, column 'x1': donor count"
+            ValueError, match=r"^column 'x1' has 20 observed cells, fewer than the 25 pmm donors"
         ):
             run_impute(_spec(STRATEGY_ALL, imputer=IMPUTER_PMM, donors=25), data)
+        assert prepasses == []
 
     def test_warnings_name_the_stage(self, caplog):
         data = make_incomplete(seed=79)

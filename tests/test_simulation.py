@@ -299,7 +299,7 @@ class TestEndToEndPooling:
         )
         result = run_impute(spec, data)
         pids = moment_parameter_ids(data.columns_with_role(ROLE_ANALYSIS))
-        pooled = analyze_set(result, pids)
+        pooled = analyze_set(result.completions, pids)
         for pid, estimate in pooled.items():
             full, _ = estimate_parameter(coarse, pid)
             reported = np.tanh(full) if pid.kind == "correlation" else full

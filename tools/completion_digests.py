@@ -13,9 +13,13 @@ work in both blocks), on a two-column dataset (a one-column pre-pass
 block) and, with pcr-vbv, on p = 56 data with a constant column;
 ``prepass_single_impute``
 with both imputers; a small ``run_study`` with the runtime column pinned
-to zero (the bytes of its metrics.csv and estimates.csv); and the
-output files of ``pcimpute impute`` for every strategy.  Only the public
-API is used, so any checkout can run it.  Takes about a minute.
+to zero (the bytes of its metrics.csv and estimates.csv); the output
+files of ``pcimpute impute`` for every strategy; the bytes of
+``pcimpute pool`` output over all four parameter kinds and a repeated
+entry, on seeded completions and on identical copies of one completion;
+and ``mar_diagnostics`` on seeded conditions (``float.hex`` of each
+target's ``auc`` and ``pseudo_r2``).  Only the public API is used, so
+any checkout can run it.  Takes about a minute.
 
 Some digests depend on the BLAS thread count (a multithreaded BLAS may
 sum in another order), so the script pins OpenBLAS, OpenMP and MKL to one
@@ -157,6 +161,36 @@ def run_cases():
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(argv)
             yield f"pcimpute impute {strategy}", f"exit {code} " + file_digest(run_dir.iterdir())
+
+        completed = pcimpute.run_impute(
+            pcimpute.ImputationSpec(strategy="quickpred", chains=3, iterations=3, seed=13),
+            wide[56],
+        ).completions
+        params = "mean:x1,var:x2,cov:x1:x3,corr:x2:x4,corr:x2:x4,mean:x1"
+        for label, matrices in (("completions", completed), ("copies", [completed[0]] * 3)):
+            inputs = []
+            for index, matrix in enumerate(matrices):
+                inputs.append(str(out / f"{label}_{index}.csv"))
+                pcimpute.write_csv(inputs[-1], matrix, data.names)
+            argv = ["pool", "--inputs", *inputs, "--params", params]
+            argv += ["--out-dir", str(out / label), "--out", "pooled.csv"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            yield f"pcimpute pool {label}", f"exit {code} " + file_digest(
+                [out / label / "pooled.csv"]
+            )
+
+    for seed, categories in enumerate((None, None, 2, 2, 5, 5)):
+        cond = pcimpute.SimulationCondition(n_rows=300, categories=categories)
+        rng = np.random.default_rng(20 + seed)
+        values, roles = pcimpute.generate_complete(cond, rng)
+        coarse = pcimpute.coarsen(values, roles, categories)
+        mar_ids = [j for j, role in enumerate(roles) if role == pcimpute.ROLE_MAR]
+        amputed = pcimpute.ampute(coarse, roles, cond, rng, values[:, mar_ids])
+        reports = pcimpute.mar_diagnostics(amputed, coarse[:, mar_ids])
+        yield f"mar_diagnostics seed={20 + seed} categories={categories}", " ".join(
+            f"{report['auc'].hex()}/{report['pseudo_r2'].hex()}" for report in reports
+        )
 
 
 def main() -> None:
