@@ -66,8 +66,15 @@ def _flag(*names, **options) -> argparse.ArgumentParser:
     return parent
 
 
+def _seed(raw: str) -> int:
+    """``--seed``: numpy seeds its generators from non-negative integers only."""
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 def _build_parser() -> _Parser:
-    seed = _flag("--seed", type=int, default=None, help="root random seed")
+    seed = _flag("--seed", type=_seed, default=None, help="root random seed")
     na_token = _flag(
         "--na-token", default=DEFAULT_NA_TOKEN, help="missing-value token in CSV files"
     )
@@ -279,20 +286,23 @@ def cmd_impute(args) -> int:
             npc = int(npc)
         except ValueError:
             raise UsageError(f"--npc must be an integer or 'max', got {npc!r}") from None
+    try:
+        spec = ImputationSpec(
+            strategy=args.method,
+            n_components=npc,
+            imputer=args.imputer,
+            chains=args.m,
+            iterations=args.maxit,
+            donors=args.donors,
+            seed=args.seed if args.seed is not None else 0,
+        )
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     data = load_csv(args.input, na_token=args.na_token)
     try:
         data = data.with_roles(analysis=analysis, mar=mar)
     except ValueError as err:
         raise UsageError(str(err)) from None
-    spec = ImputationSpec(
-        strategy=args.method,
-        n_components=npc,
-        imputer=args.imputer,
-        chains=args.m,
-        iterations=args.maxit,
-        donors=args.donors,
-        seed=args.seed if args.seed is not None else 0,
-    )
     result = run_impute(spec, data)
     out_dir = Path(args.out_dir) if args.out_dir else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,7 @@ known missingness predictors, and the auxiliary columns.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -211,21 +212,14 @@ def write_csv(
     values: np.ndarray,
     names: list[str],
     na_token: str = DEFAULT_NA_TOKEN,
-    mask: np.ndarray | None = None,
 ) -> None:
-    """Write a float matrix as CSV, rendering missing cells as ``na_token``.
+    """Write a float matrix as CSV, rendering NaN cells as ``na_token``.
 
     Floats are written with ``repr`` so a load/write/load cycle
-    reproduces every value bit for bit.  Cells are missing where
-    ``mask`` is False, or where the matrix holds NaN if no mask is given.
+    reproduces every value bit for bit.
     """
-    values = np.asarray(values, dtype=float)
-    if mask is None:
-        mask = ~np.isnan(values)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(list(names))
-        for i in range(values.shape[0]):
-            writer.writerow(
-                [repr(float(values[i, j])) if mask[i, j] else na_token for j in range(values.shape[1])]
-            )
+        for row in np.asarray(values, dtype=float).tolist():
+            writer.writerow([na_token if math.isnan(value) else repr(value) for value in row])

@@ -149,6 +149,8 @@ class ImputationSpec(StudySettings):
         if self.n_components != MAX_COMPONENTS:
             if not isinstance(self.n_components, (int, np.integer)) or self.n_components < 1:
                 raise ValueError("n_components must be a positive integer or 'max'")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         super().__post_init__()
 
 

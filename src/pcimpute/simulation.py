@@ -317,27 +317,21 @@ def mar_diagnostics(data: IncompleteData, mar_values: np.ndarray) -> list[dict]:
 
 def compute_prb(method_estimates, full_estimates) -> float:
     """Percent relative bias against the mean full-data estimate."""
-    full = np.asarray(full_estimates, dtype=float)
-    met = np.asarray(method_estimates, dtype=float)
-    truth = float(full.mean())
+    truth = float(np.mean(full_estimates))
     if truth == 0.0:
         raise ValueError("full-data reference value is zero")
-    return abs(float(met.mean()) - truth) / abs(truth) * 100.0
+    return abs(float(np.mean(method_estimates)) - truth) / abs(truth) * 100.0
 
 
 def compute_ciw(lowers, uppers) -> float:
     """Mean confidence-interval width across replications."""
-    lowers = np.asarray(lowers, dtype=float)
-    uppers = np.asarray(uppers, dtype=float)
-    return float((uppers - lowers).mean())
+    return float(np.mean(np.subtract(uppers, lowers)))
 
 
 def compute_cic(lowers, uppers, full_estimates) -> float:
     """Share of intervals covering the mean full-data estimate."""
-    truth = float(np.asarray(full_estimates, dtype=float).mean())
-    lowers = np.asarray(lowers, dtype=float)
-    uppers = np.asarray(uppers, dtype=float)
-    return float(((lowers <= truth) & (truth <= uppers)).mean())
+    truth = float(np.mean(full_estimates))
+    return float(np.mean(np.less_equal(lowers, truth) & np.less_equal(truth, uppers)))
 
 
 @dataclass(frozen=True)
@@ -406,8 +400,22 @@ class EstimateRecord:
     full_estimate: float
 
 
+# The cell, method and parameter fields: a metric copies them from its estimate rows.
+_SHARED_FIELDS = [
+    f.name for f in fields(MetricRecord) if f.name in EstimateRecord.__dataclass_fields__
+]
+
+
 @dataclass(eq=False)
 class StudyResult:
+    """Estimates, metrics and failure messages of a study.
+
+    ``estimates`` (one per parameter of each replication a method entry
+    completed) and ``failures`` (one per replication it did not) run in
+    (condition, rep, method entry) order; ``metrics`` runs in (condition,
+    method entry, parameter) order and scores the completed replications.
+    """
+
     metrics: list[MetricRecord]
     estimates: list[EstimateRecord]
     failures: list[str]
@@ -421,11 +429,12 @@ def method_seed(root_seed: int, condition_index: int, rep: int, method_index: in
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
-def _replication(args) -> tuple[dict, list[str]]:
+def _replication(args) -> list:
     """One replication: every method on the same amputed dataset.
 
-    Returns each succeeding method's estimate records and runtime keyed
-    by method index, and the failure messages.
+    Returns one outcome per method entry, in order: its estimate
+    records (in ``moment_parameter_ids`` order) and runtime, or its
+    failure message.
     """
     (root_seed, cond_index, rep, cond, methods, settings, deterministic_timer) = args
     timer = time.perf_counter if not deterministic_timer else (lambda: 0.0)
@@ -435,15 +444,12 @@ def _replication(args) -> tuple[dict, list[str]]:
     coarse = coarsen(values, roles, cond.categories)
     mar_ids = [j for j, role in enumerate(roles) if role == ROLE_MAR]
     data = ampute(coarse, roles, cond, np.random.default_rng(amp_child), values[:, mar_ids])
-    target_ids = [j for j, role in enumerate(roles) if role == ROLE_ANALYSIS]
-    pids = moment_parameter_ids(target_ids)
-    names = data.names
+    pids = moment_parameter_ids(data.columns_with_role(ROLE_ANALYSIS))
     full_scale = {}
     for pid in pids:
         estimate, _ = estimate_parameter(coarse, pid)
         full_scale[pid] = float(np.tanh(estimate)) if pid.kind == "correlation" else estimate
-    results = {}
-    failures = []
+    outcomes = []
     for method_index, method in enumerate(methods):
         spec = method.spec(settings, method_seed(root_seed, cond_index, rep, method_index))
         started = timer()
@@ -451,33 +457,31 @@ def _replication(args) -> tuple[dict, list[str]]:
             imputed_set = run_impute(spec, data)
             pooled = analyze_set(imputed_set.completions, pids)
         except Exception as err:  # noqa: BLE001 - failures are data, not crashes
-            failures.append(
+            outcomes.append(
                 f"condition {cond_index}, rep {rep}, method {method.strategy}"
                 f"({method.components_label}): {err}"
             )
             continue
         runtime = timer() - started
-        rows = []
-        for pid in pids:
-            result = pooled[pid]
-            rows.append(
-                EstimateRecord(
-                    n_rows=cond.n_rows,
-                    n_cols=cond.n_cols,
-                    noise_fraction=cond.noise_fraction,
-                    categories=cond.categories,
-                    rep=rep,
-                    method=method.strategy,
-                    n_components=method.n_components,
-                    parameter=pid.label(names),
-                    estimate=result.estimate,
-                    ci_lower=result.ci_lower,
-                    ci_upper=result.ci_upper,
-                    full_estimate=full_scale[pid],
-                )
+        rows = [
+            EstimateRecord(
+                n_rows=cond.n_rows,
+                n_cols=cond.n_cols,
+                noise_fraction=cond.noise_fraction,
+                categories=cond.categories,
+                rep=rep,
+                method=method.strategy,
+                n_components=method.n_components,
+                parameter=pid.label(data.names),
+                estimate=pooled[pid].estimate,
+                ci_lower=pooled[pid].ci_lower,
+                ci_upper=pooled[pid].ci_upper,
+                full_estimate=full_scale[pid],
             )
-        results[method_index] = (rows, runtime)
-    return results, failures
+            for pid in pids
+        ]
+        outcomes.append((rows, runtime))
+    return outcomes
 
 
 def run_study(
@@ -497,7 +501,6 @@ def run_study(
     only the runtime column varies, and ``deterministic_timer`` pins it
     to zero when byte-stable output matters more than timings.
     """
-    conditions = list(conditions)
     methods = list(methods)
     if reps < 1:
         raise ValueError("reps must be positive")
@@ -513,47 +516,29 @@ def run_study(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_replication, jobs, chunksize=1))
-    estimates: list[EstimateRecord] = []
-    failures: list[str] = []
-    # (condition, method index) -> (rows, runtime) of each rep it succeeded in
-    succeeded: dict[tuple[int, int], list] = {}
-    for (_, cond_index, *_), (results, rep_failures) in zip(jobs, outputs):
-        failures.extend(rep_failures)
-        for method_index, (rows, runtime) in results.items():
-            estimates.extend(rows)
-            succeeded.setdefault((cond_index, method_index), []).append((rows, runtime))
+    estimates, failures = [], []
+    for outcome in (outcome for replication in outputs for outcome in replication):
+        if isinstance(outcome, str):
+            failures.append(outcome)
+        else:
+            estimates.extend(outcome[0])
     metrics = []
-    for cond_index, cond in enumerate(conditions):
-        for method_index, method in enumerate(methods):
-            done = succeeded.get((cond_index, method_index), [])
-            by_parameter: dict[str, list[EstimateRecord]] = {}
-            for rows, _ in done:
-                for row in rows:
-                    by_parameter.setdefault(row.parameter, []).append(row)
-            mean_runtime = float(np.mean([t for _, t in done])) if done else float("nan")
-            for parameter, rows in by_parameter.items():
+    for start in range(0, len(outputs), reps):  # one condition's replications
+        for outcomes in zip(*outputs[start : start + reps]):  # one method entry's
+            done = [outcome for outcome in outcomes if not isinstance(outcome, str)]
+            # every completed rep lists the same parameters in the same order
+            for group in zip(*(rows for rows, _ in done)):
+                estimate, lower, upper, full = np.array(
+                    [(r.estimate, r.ci_lower, r.ci_upper, r.full_estimate) for r in group]
+                ).T
                 metrics.append(
                     MetricRecord(
-                        n_rows=cond.n_rows,
-                        n_cols=cond.n_cols,
-                        noise_fraction=cond.noise_fraction,
-                        categories=cond.categories,
-                        method=method.strategy,
-                        n_components=method.n_components,
-                        parameter=parameter,
-                        prb=compute_prb(
-                            [r.estimate for r in rows], [r.full_estimate for r in rows]
-                        ),
-                        cic=compute_cic(
-                            [r.ci_lower for r in rows],
-                            [r.ci_upper for r in rows],
-                            [r.full_estimate for r in rows],
-                        ),
-                        ciw=compute_ciw(
-                            [r.ci_lower for r in rows], [r.ci_upper for r in rows]
-                        ),
-                        runtime_s=mean_runtime,
-                        reps=len(rows),
+                        **{name: getattr(group[0], name) for name in _SHARED_FIELDS},
+                        prb=compute_prb(estimate, full),
+                        cic=compute_cic(lower, upper, full),
+                        ciw=compute_ciw(lower, upper),
+                        runtime_s=float(np.mean([runtime for _, runtime in done])),
+                        reps=len(done),
                         failures=reps - len(done),
                     )
                 )

@@ -157,6 +157,29 @@ class TestImputeCommand:
         assert code == 1
         assert "--npc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("command", "flags", "message"),
+        [
+            ("impute", ["--m", "0"], "chains must be positive"),
+            ("impute", ["--maxit", "0"], "iteration counts must be positive"),
+            ("impute", ["--donors", "0"], "donors must be positive"),
+            ("impute", ["--npc", "0"], "n_components must be a positive integer or 'max'"),
+            ("impute", ["--seed", "-1"], "--seed: must be a non-negative integer, got '-1'"),
+            ("enumerate", ["--seed", "-1"], "--seed: must be a non-negative integer, got '-1'"),
+        ],
+    )
+    def test_bad_setting_is_usage_error_before_reading_input(
+        self, tmp_path, capsys, command, flags, message
+    ):
+        # The input does not exist, so reading it first would exit 2.
+        argv = [command, "--input", str(tmp_path / "absent.csv"), *flags]
+        if command == "impute":
+            argv += ["--method", "pcr-vbv", "--out-prefix", "run"]
+        else:
+            argv += ["--rule", "kaiser"]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
     def test_unknown_role_name_is_usage_error(self, incomplete_csv, capsys):
         path, _ = incomplete_csv
         code = main([

@@ -68,6 +68,10 @@ class TestImputationSpec:
         with pytest.raises(ValueError, match="donors"):
             ImputationSpec(strategy=STRATEGY_VBV, donors=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            ImputationSpec(strategy=STRATEGY_VBV, seed=-1)
+
 
 class TestInitializeFill:
     def test_fills_from_observed_pool(self):

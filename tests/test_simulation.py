@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from pcimpute.data import ROLE_ANALYSIS, ROLE_AUXILIARY, ROLE_MAR
 from pcimpute.engine import (
+    STRATEGY_AUX,
     STRATEGY_ORACLE,
     STRATEGY_QUICKPRED,
     STRATEGY_VBV,
@@ -429,3 +431,73 @@ class TestRunStudy:
         ]
         assert len(rows) == 1 + len(result.estimates)
         assert float(rows[1][8]) == result.estimates[0].estimate
+
+
+TINY = SimulationCondition(n_rows=16, factors=3, items_per_factor=2)
+PARTIAL_METHODS = [
+    MethodSetting(strategy=STRATEGY_ORACLE),
+    MethodSetting(strategy=STRATEGY_AUX, n_components=5),
+    MethodSetting(strategy=STRATEGY_AUX, n_components=5),
+]
+
+
+@pytest.fixture(scope="module")
+def partial_failure_study():
+    """Two cells where both pcr-aux entries miss their component budget in some reps."""
+    return run_study(
+        [TINY, dataclasses.replace(TINY, categories=2)],
+        PARTIAL_METHODS,
+        reps=6,
+        seed=19,
+        settings=StudySettings(chains=2, iterations=2, prepass_iterations=2),
+        deterministic_timer=True,
+    )
+
+
+class TestAggregation:
+    N_PARAMS = TestRunStudy.N_PARAMS
+
+    def test_partial_failures_counted_per_entry(self, partial_failure_study):
+        result = partial_failure_study
+        assert len(result.metrics) == 2 * 3 * self.N_PARAMS
+        entries = [
+            (r.categories, r.method, r.reps, r.failures)
+            for r in result.metrics[:: self.N_PARAMS]
+        ]
+        assert entries == [
+            (None, STRATEGY_ORACLE, 6, 0),
+            (None, STRATEGY_AUX, 5, 1),
+            (None, STRATEGY_AUX, 5, 1),
+            (2, STRATEGY_ORACLE, 6, 0),
+            (2, STRATEGY_AUX, 4, 2),
+            (2, STRATEGY_AUX, 4, 2),
+        ]
+        for start in range(0, len(result.metrics), self.N_PARAMS):
+            block = result.metrics[start : start + self.N_PARAMS]
+            assert len({(r.reps, r.failures) for r in block}) == 1
+        assert len(result.failures) == 2 * 1 + 2 * 2
+        assert all("pcr-aux(5)" in line for line in result.failures)
+        assert len(result.estimates) == (6 + 5 + 5 + 6 + 4 + 4) * self.N_PARAMS
+
+    def test_metrics_recomputed_from_estimates(self, partial_failure_study):
+        result = partial_failure_study
+        cell = ("n_rows", "n_cols", "noise_fraction", "categories")
+        groups: dict[tuple, list] = {}
+        for row in result.estimates:
+            key = (*(getattr(row, name) for name in cell), row.method, row.parameter)
+            groups.setdefault(key, []).append(row)
+        copies = Counter(method.strategy for method in PARTIAL_METHODS)
+        seen = Counter()
+        for record in result.metrics:
+            key = (*(getattr(record, name) for name in cell), record.method, record.parameter)
+            # Equal entries fail on the same data, so their rows alternate by rep.
+            rows = groups[key][seen[key] :: copies[record.method]]
+            seen[key] += 1
+            full = [r.full_estimate for r in rows]
+            lowers = [r.ci_lower for r in rows]
+            uppers = [r.ci_upper for r in rows]
+            assert record.reps == len(rows)
+            assert record.prb == compute_prb([r.estimate for r in rows], full)
+            assert record.cic == compute_cic(lowers, uppers, full)
+            assert record.ciw == compute_ciw(lowers, uppers)
+        assert sum(seen.values()) == len(result.metrics) == 2 * 3 * self.N_PARAMS

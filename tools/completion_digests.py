@@ -11,10 +11,11 @@ Cases: every strategy with both imputers on seeded study data at p = 56
 on p = 56 data with auxiliary columns missing too (so the pre-pass has
 work in both blocks), on a two-column dataset (a one-column pre-pass
 block) and, with pcr-vbv, on p = 56 data with a constant column;
-``prepass_single_impute``
-with both imputers; a small ``run_study`` with the runtime column pinned
-to zero (the bytes of its metrics.csv and estimates.csv); the output
-files of ``pcimpute impute`` for every strategy; the bytes of
+``prepass_single_impute`` with both imputers; two small ``run_study``
+grids with the runtime column pinned to zero (the bytes of their
+metrics.csv and estimates.csv, and their failure lists), one of them
+with method entries that fail in some replications; the output files of
+``pcimpute impute`` for every strategy; the bytes of
 ``pcimpute pool`` output over all four parameter kinds and a repeated
 entry, on seeded completions and on identical copies of one completion;
 and ``mar_diagnostics`` on seeded conditions (``float.hex`` of each
@@ -30,6 +31,7 @@ Compare two checkouts under the same settings.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -141,13 +143,26 @@ def run_cases():
     study = pcimpute.run_study(
         conditions, methods, reps=2, seed=5, settings=settings, deterministic_timer=True
     )
+    # Both pcr-aux entries fail in 1 of 6 reps of the first cell and 2 of 6
+    # of the second, so the metrics come from uneven per-entry rep counts.
+    tiny = pcimpute.SimulationCondition(n_rows=16, factors=3, items_per_factor=2)
+    partial = pcimpute.run_study(
+        [tiny, dataclasses.replace(tiny, categories=2)],
+        [pcimpute.MethodSetting("oracle"), *[pcimpute.MethodSetting("pcr-aux", 5)] * 2],
+        reps=6,
+        seed=19,
+        settings=pcimpute.StudySettings(chains=2, iterations=2, prepass_iterations=2),
+        deterministic_timer=True,
+    )
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        write_metrics_csv(out / "metrics.csv", study.metrics)
-        write_estimates_csv(out / "estimates.csv", study.estimates)
-        yield "run_study metrics.csv", file_digest([out / "metrics.csv"])
-        yield "run_study estimates.csv", file_digest([out / "estimates.csv"])
-        yield "run_study failures", hashlib.sha256("\n".join(study.failures).encode()).hexdigest()
+        for label, result in (("run_study", study), ("run_study partial failures", partial)):
+            write_metrics_csv(out / "metrics.csv", result.metrics)
+            write_estimates_csv(out / "estimates.csv", result.estimates)
+            yield f"{label} metrics.csv", file_digest([out / "metrics.csv"])
+            yield f"{label} estimates.csv", file_digest([out / "estimates.csv"])
+            failures = "\n".join(result.failures).encode()
+            yield f"{label} failures", hashlib.sha256(failures).hexdigest()
 
         source = out / "input.csv"
         data = wide[56]
