@@ -73,6 +73,23 @@ def _seed(raw: str) -> int:
     return int(raw)
 
 
+def _positive(raw: str) -> int:
+    """``--m``, ``--maxit``, ``--donors``: argparse names the flag in the refusal."""
+    if not raw.isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
+def _components(raw: str) -> int | str:
+    """``--npc``: a positive component count or ``max``."""
+    if raw == MAX_COMPONENTS:
+        return raw
+    if not raw.isdecimal() or int(raw) < 1:
+        message = f"must be a positive integer or {MAX_COMPONENTS!r}, got {raw!r}"
+        raise argparse.ArgumentTypeError(message)
+    return int(raw)
+
+
 def _build_parser() -> _Parser:
     seed = _flag("--seed", type=_seed, default=None, help="root random seed")
     na_token = _flag(
@@ -99,11 +116,12 @@ def _build_parser() -> _Parser:
     imp.add_argument("--method", required=True, choices=STRATEGIES)
     imp.add_argument(
         "--npc",
+        type=_components,
         default=MAX_COMPONENTS,
         help="retained component count for pcr methods (integer or 'max')",
     )
-    imp.add_argument("--m", type=int, default=5, help="number of completed datasets")
-    imp.add_argument("--maxit", type=int, default=20, help="sweeps per chain")
+    imp.add_argument("--m", type=_positive, default=5, help="number of completed datasets")
+    imp.add_argument("--maxit", type=_positive, default=20, help="sweeps per chain")
     imp.add_argument(
         "--targets",
         "--analysis-cols",
@@ -122,7 +140,7 @@ def _build_parser() -> _Parser:
         default=IMPUTER_PMM,
         help="univariate draw (default pmm for file workflows)",
     )
-    imp.add_argument("--donors", type=int, default=5, help="pmm donor-pool size")
+    imp.add_argument("--donors", type=_positive, default=5, help="pmm donor-pool size")
     imp.add_argument("--out-prefix", required=True, help="prefix for output CSV files")
     imp.set_defaults(func=cmd_impute)
 
@@ -280,24 +298,15 @@ def cmd_impute(args) -> int:
         raise UsageError("pcr-aux requires --analysis-cols (or --targets)")
     if args.method == STRATEGY_ORACLE and not mar:
         raise UsageError("oracle requires --mar-cols")
-    npc = args.npc
-    if npc != MAX_COMPONENTS:
-        try:
-            npc = int(npc)
-        except ValueError:
-            raise UsageError(f"--npc must be an integer or 'max', got {npc!r}") from None
-    try:
-        spec = ImputationSpec(
-            strategy=args.method,
-            n_components=npc,
-            imputer=args.imputer,
-            chains=args.m,
-            iterations=args.maxit,
-            donors=args.donors,
-            seed=args.seed if args.seed is not None else 0,
-        )
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    spec = ImputationSpec(
+        strategy=args.method,
+        n_components=args.npc,
+        imputer=args.imputer,
+        chains=args.m,
+        iterations=args.maxit,
+        donors=args.donors,
+        seed=args.seed if args.seed is not None else 0,
+    )
     data = load_csv(args.input, na_token=args.na_token)
     try:
         data = data.with_roles(analysis=analysis, mar=mar)

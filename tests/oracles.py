@@ -218,3 +218,14 @@ def quantile_bin_scan(column, n_cat):
                 code += 1
         codes[i] = code
     return codes
+
+
+def nearest_donors_full_sort(pred_obs, pred_mis, donors):
+    """pmm donor lists from a stable argsort of the full n_mis x n_obs gap matrix.
+
+    Equal gaps keep observed-row order, so ties go to the lower index.
+    """
+    pred_obs = np.asarray(pred_obs, dtype=float)
+    pred_mis = np.asarray(pred_mis, dtype=float)
+    gaps = np.abs(pred_obs[None, :] - pred_mis[:, None])
+    return np.argsort(gaps, axis=1, kind="stable")[:, :donors]

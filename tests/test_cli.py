@@ -160,10 +160,10 @@ class TestImputeCommand:
     @pytest.mark.parametrize(
         ("command", "flags", "message"),
         [
-            ("impute", ["--m", "0"], "chains must be positive"),
-            ("impute", ["--maxit", "0"], "iteration counts must be positive"),
-            ("impute", ["--donors", "0"], "donors must be positive"),
-            ("impute", ["--npc", "0"], "n_components must be a positive integer or 'max'"),
+            ("impute", ["--m", "0"], "--m: must be a positive integer, got '0'"),
+            ("impute", ["--maxit", "0"], "--maxit: must be a positive integer, got '0'"),
+            ("impute", ["--donors", "0"], "--donors: must be a positive integer, got '0'"),
+            ("impute", ["--npc", "0"], "--npc: must be a positive integer or 'max', got '0'"),
             ("impute", ["--seed", "-1"], "--seed: must be a non-negative integer, got '-1'"),
             ("enumerate", ["--seed", "-1"], "--seed: must be a non-negative integer, got '-1'"),
         ],

@@ -15,7 +15,7 @@ from pcimpute.imputers import (
     pmm_impute,
     ridged_least_squares,
 )
-from tests.oracles import pinv_least_squares
+from tests.oracles import nearest_donors_full_sort, pinv_least_squares
 
 
 def _regression_case(seed, n=80, r=3, noise=0.5):
@@ -139,6 +139,69 @@ class TestNearestDonors:
             nearest_donors([1.0, 2.0], [1.5], donors=3)
         with pytest.raises(ValueError, match="donor count"):
             nearest_donors([1.0, 2.0], [1.5], donors=0)
+
+    @pytest.mark.parametrize(
+        ("pred_obs", "pred_mis", "message"),
+        [
+            ([[1.0, 2.0]], [1.5], r"pred_obs must be 1-d, got shape \(1, 2\)"),
+            ([1.0, 2.0], 1.5, r"pred_mis must be 1-d, got shape \(\)"),
+            ([1.0, np.nan], [1.5], "pred_obs holds a non-finite value"),
+            ([1.0, 2.0], [np.inf], "pred_mis holds a non-finite value"),
+        ],
+    )
+    def test_bad_predictions_refused(self, pred_obs, pred_mis, message):
+        with pytest.raises(ValueError, match=message):
+            nearest_donors(pred_obs, pred_mis, donors=1)
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_matches_full_sort_under_heavy_ties(self, data):
+        n_obs = data.draw(st.integers(1, 60), label="n_obs")
+        n_mis = data.draw(st.integers(0, 12), label="n_mis")
+        # A small k leaves ties outside the 2k window; k = n_obs, and n_obs < 2k,
+        # make the window the whole array.
+        donors = data.draw(
+            st.one_of(
+                st.integers(1, min(4, n_obs)),
+                st.just(n_obs),
+                st.integers((n_obs + 1) // 2, n_obs),
+            ),
+            label="donors",
+        )
+        kind = data.draw(st.sampled_from(["codes", "midway", "equal", "rounded"]), label="kind")
+        if kind == "equal":
+            pred_obs = np.full(n_obs, 0.7)
+            pred_mis = np.full(n_mis, 0.7)
+        elif kind == "rounded":
+            # Neighbouring doubles whose gaps to -1 or 4 round to one value, so
+            # distinct predictions tie and a tie can sit past the window on either side.
+            codes = st.lists(st.integers(0, 3), min_size=n_obs, max_size=n_obs)
+            pred_obs = 1.0 + np.array(data.draw(codes, label="pred_obs")) * 2.0**-52
+            ends = st.lists(st.sampled_from([-1.0, 4.0]), min_size=n_mis, max_size=n_mis)
+            pred_mis = np.array(data.draw(ends, label="pred_mis"), dtype=float)
+        else:
+            codes = st.lists(st.integers(1, 3), min_size=n_obs, max_size=n_obs)
+            pred_obs = np.array(data.draw(codes, label="pred_obs"), dtype=float)
+            # Midway predictions sit halfway between two codes, so gaps tie on both sides.
+            shift = 0.5 if kind == "midway" else 0.0
+            mis = st.lists(st.integers(0, 3), min_size=n_mis, max_size=n_mis)
+            pred_mis = np.array(data.draw(mis, label="pred_mis"), dtype=float) + shift
+        np.testing.assert_array_equal(
+            nearest_donors(pred_obs, pred_mis, donors),
+            nearest_donors_full_sort(pred_obs, pred_mis, donors),
+        )
+
+    def test_large_sample_matches_full_sort_on_sampled_rows(self):
+        rng = np.random.default_rng(8)
+        pred = rng.standard_normal(100_000)
+        missing = rng.random(100_000) < 0.3
+        pred_obs, pred_mis = pred[~missing], pred[missing]
+        pools = nearest_donors(pred_obs, pred_mis, donors=5)
+        assert pools.shape == (missing.sum(), 5)
+        for row in rng.choice(pred_mis.shape[0], size=40, replace=False):
+            np.testing.assert_array_equal(
+                pools[row], nearest_donors_full_sort(pred_obs, pred_mis[row : row + 1], 5)[0]
+            )
 
 
 class TestPmm:

@@ -10,7 +10,9 @@ Cases: every strategy with both imputers on seeded study data at p = 56
 (q = 7 and q = "max") and p = 242 (q = 7); the fixed-score strategies
 on p = 56 data with auxiliary columns missing too (so the pre-pass has
 work in both blocks), on a two-column dataset (a one-column pre-pass
-block) and, with pcr-vbv, on p = 56 data with a constant column;
+block) and, with pcr-vbv, on p = 56 data with a constant column; pmm
+where donor ties are heavy (intercept-only quickpred models, so every
+prediction ties, and every strategy on columns coded 1..3);
 ``prepass_single_impute`` with both imputers; two small ``run_study``
 grids with the runtime column pinned to zero (the bytes of their
 metrics.csv and estimates.csv, and their failure lists), one of them
@@ -75,6 +77,16 @@ def two_columns(seed: int) -> pcimpute.IncompleteData:
     return pcimpute.IncompleteData.from_matrix(values).with_roles(analysis=["x1"])
 
 
+def integer_codes(seed: int) -> pcimpute.IncompleteData:
+    """60 rows of five columns coded 1..3, so many rows share a predicted mean."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(1, 4, size=(60, 5)).astype(float)
+    values[:, 1] = np.minimum(values[:, 0] + rng.integers(0, 2, 60), 3.0)
+    values[rng.random((60, 5)) < 0.2] = np.nan
+    values[:, 4] = rng.integers(1, 4, 60)
+    return pcimpute.IncompleteData.from_matrix(values).with_roles(analysis=["x1"], mar=["x5"])
+
+
 def digest(*arrays) -> str:
     sha = hashlib.sha256()
     for array in arrays:
@@ -121,6 +133,24 @@ def run_cases():
                 yield f"run_impute p={p} q={q} {strategy} {imputer}", digest(
                     *result.completions, means, info
                 )
+
+    # pmm under heavy ties: intercept-only quickpred models give every row the same
+    # predicted mean, and integer-coded columns give few distinct ones.
+    tied = [("p=56 corr_threshold=1.0", wide[56], ("quickpred",), {"corr_threshold": 1.0})]
+    tied.append(("codes 1..3", integer_codes(7), pcimpute.STRATEGIES, {"n_components": 1}))
+    for label, data, strategies, options in tied:
+        for strategy in strategies:
+            spec = pcimpute.ImputationSpec(
+                strategy=strategy,
+                imputer="pmm",
+                chains=3,
+                iterations=5,
+                prepass_iterations=5,
+                seed=11,
+                **options,
+            )
+            result = pcimpute.run_impute(spec, data)
+            yield f"run_impute {label} {strategy} pmm", digest(*result.completions)
 
     for imputer in IMPUTERS:
         completed = pcimpute.prepass_single_impute(
