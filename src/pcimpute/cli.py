@@ -29,7 +29,12 @@ from .engine import (
     run_impute,
 )
 from .imputers import IMPUTER_BAYES, IMPUTER_KINDS, IMPUTER_PMM
-from .pca import EnumerationRule, correlation_eigenvalues, enumerate_components
+from .pca import (
+    ENUMERATION_METHODS,
+    EnumerationRule,
+    correlation_eigenvalues,
+    enumerate_components,
+)
 from .pooling import PARAMETER_KINDS, ParameterId, analyze_set
 from .simulation import (
     MethodSetting,
@@ -41,13 +46,6 @@ from .simulation import (
 )
 
 logger = logging.getLogger(__name__)
-
-_RULE_ALIASES = {
-    "kaiser": "kaiser",
-    "pa": "parallel-analysis",
-    "oc": "optimal-coordinates",
-    "af": "acceleration-factor",
-}
 
 
 class UsageError(Exception):
@@ -160,7 +158,7 @@ def _build_parser() -> _Parser:
         "enumerate", parents=[seed, na_token], help="apply a component-count rule to a CSV"
     )
     enum.add_argument("--input", required=True, help="CSV file")
-    enum.add_argument("--rule", required=True, choices=sorted(_RULE_ALIASES))
+    enum.add_argument("--rule", required=True, choices=sorted(ENUMERATION_METHODS.values()))
     enum.add_argument("--replicates", type=int, default=100, help="parallel-analysis draws")
     enum.add_argument(
         "--quantile", type=float, default=0.95, help="parallel-analysis threshold quantile"
@@ -405,9 +403,10 @@ def cmd_enumerate(args) -> int:
         if rows.size < 3:
             raise ValueError("fewer than three complete cases")
         values = values[rows]
+    methods = {tag: method for method, tag in ENUMERATION_METHODS.items()}
     try:
         rule = EnumerationRule(
-            method=_RULE_ALIASES[args.rule],
+            method=methods[args.rule],
             replicates=args.replicates,
             quantile=args.quantile,
         )

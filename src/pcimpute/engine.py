@@ -4,7 +4,7 @@ Each chain starts from random draws of observed values, then sweeps the
 incomplete columns in ascending index order for a fixed number of
 iterations.  At every visit the target column is regressed on a
 predictor matrix assembled by the run's plan, the one per-run object
-(set up once, shared by every chain):
+(its spec and data, set up once, shared by every chain):
 
 * ``pcr-vbv``     principal-component scores of every other column,
                   recomputed from the current working matrix at every
@@ -25,8 +25,10 @@ predictor matrix assembled by the run's plan, the one per-run object
 
 The pre-pass is one quickpred chain over the block the components come
 from, at ``prepass_threshold`` for ``prepass_iterations`` sweeps, run
-by the same chain loop as every other strategy.  Its warnings and errors
-start with ``pre-pass``; errors also name the chain, iteration and column.
+by the same chain loop as every other strategy, through its one entry
+``_prepass_complete``.  Its warnings and errors start with ``pre-pass``;
+errors also name the chain, iteration and column.  Per-visit and fixed
+scores come from one extraction step, ``_Plan.components``.
 
 Observed cells are never modified; missing cells always hold the most
 recent draw.  All randomness flows from one integer seed through
@@ -39,6 +41,7 @@ from __future__ import annotations
 import copy
 import logging
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -72,6 +75,11 @@ STRATEGIES = (
 PCR_STRATEGIES = (STRATEGY_VBV, STRATEGY_ALL, STRATEGY_AUX)
 
 MAX_COMPONENTS = "max"
+
+
+def _is_a(value, kind) -> bool:
+    """``isinstance`` that refuses a bool, which Python counts as an integer."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -109,6 +117,14 @@ class StudySettings:
     def __post_init__(self) -> None:
         if self.imputer not in IMPUTER_KINDS:
             raise ValueError(f"unknown imputer {self.imputer!r}")
+        for names, kind, noun in (
+            (("chains", "iterations", "prepass_iterations", "donors"), Integral, "an integer"),
+            (("corr_threshold", "prepass_threshold", "ridge"), Real, "a number"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not _is_a(value, kind):
+                    raise ValueError(f"{name} must be {noun}, got {value!r}")
         if self.chains < 1:
             raise ValueError("chains must be positive")
         if self.iterations < 1 or self.prepass_iterations < 1:
@@ -119,7 +135,7 @@ class StudySettings:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.donors < 1:
             raise ValueError("donors must be positive")
-        if self.ridge < 0.0:
+        if not self.ridge >= 0.0:
             raise ValueError("ridge must be nonnegative")
 
 
@@ -147,10 +163,10 @@ class ImputationSpec(StudySettings):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.n_components != MAX_COMPONENTS:
-            if not isinstance(self.n_components, (int, np.integer)) or self.n_components < 1:
+            if not _is_a(self.n_components, Integral) or self.n_components < 1:
                 raise ValueError("n_components must be a positive integer or 'max'")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if not _is_a(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         super().__post_init__()
 
 
@@ -254,7 +270,7 @@ def _drop_constants(
         spread = spread[column_ids]
     kept = column_ids[spread > 0.0]
     if kept.size != column_ids.size:
-        dropped = [plan.names[j] for j in column_ids[spread == 0.0]]
+        dropped = [plan.data.names[j] for j in column_ids[spread == 0.0]]
         fresh = [name for name in dropped if name not in plan.warned_drops]
         if fresh:
             plan.warned_drops.update(fresh)
@@ -268,8 +284,8 @@ _NO_COLUMNS = np.empty(0, dtype=int)
 
 
 class _Plan:
-    """The one per-run object: which predictors the column visits of one
-    strategy see, set up once per run, plus the run's counters.
+    """The one per-run object: its spec and data, which predictors the
+    column visits of one strategy see, set up once, and the run's counters.
 
     A visit's predictors are the target's ``raw`` columns that are not
     constant, then the plan's ``scores``.  The pcr plans settle q during
@@ -285,14 +301,15 @@ class _Plan:
     single_sweep = False
 
     def __init__(self, spec: ImputationSpec, data: IncompleteData, stage: str = "") -> None:
-        self.names = data.names
+        self.spec = spec
+        self.data = data
         self.stage = stage
         self.resolved_components: int | None = None
         self.pca_count = 0
         self.warned_drops: set[str] = set()
-        self.set_up(spec, data)
+        self.set_up()
 
-    def set_up(self, spec: ImputationSpec, data: IncompleteData) -> None:
+    def set_up(self) -> None:
         """Settle each target's raw columns and, for the pcr plans, q."""
         raise NotImplementedError
 
@@ -304,18 +321,29 @@ class _Plan:
         """This visit's component scores, if the strategy uses components."""
         return self.fixed_scores
 
+    def components(self, working, columns, running=None) -> np.ndarray | None:
+        """Component scores of ``working``'s non-constant ``columns``, or None if none is left."""
+        spread = None if running is None else running.spread
+        live = _drop_constants(working, columns, self, spread)
+        if live.size == 0:
+            return None
+        q = min(self.resolved_components, max_components(working.shape[0], live.size))
+        self.pca_count += 1
+        return pca(working, q, columns=live, running=running).scores
+
 
 class _QuickpredPlan(_Plan):
     """quickpred: raw columns screened once by pairwise correlation."""
 
-    def set_up(self, spec, data):
+    def set_up(self):
+        data = self.data
         self.raw = {}
         # Each target keeps a residual degree of freedom: at most observed
         # cases - 2 predictors, the strongest first, ties to the lower index.
         budgets = data.mask.sum(axis=0) - 2
         for j in data.incomplete_columns().tolist():
             strength = _pairwise_select(data.values, data.mask, j)
-            keep = np.flatnonzero(strength >= spec.corr_threshold)
+            keep = np.flatnonzero(strength >= self.spec.corr_threshold)
             budget = max(int(budgets[j]), 0)
             if keep.size > budget:
                 logger.warning(
@@ -340,32 +368,27 @@ class _QuickpredPlan(_Plan):
 class _OraclePlan(_Plan):
     """oracle: the analysis columns and the declared missingness predictors."""
 
-    def set_up(self, spec, data):
-        known = [j for j, role in enumerate(data.roles) if role in (ROLE_ANALYSIS, ROLE_MAR)]
+    def set_up(self):
+        roles = self.data.roles
+        known = [j for j, role in enumerate(roles) if role in (ROLE_ANALYSIS, ROLE_MAR)]
         self.raw = {
             j: np.array([k for k in known if k != j], dtype=int)
-            for j in data.incomplete_columns().tolist()
+            for j in self.data.incomplete_columns().tolist()
         }
 
 
 class _VbvPlan(_Plan):
     """pcr-vbv: components of every other column, extracted again at every visit."""
 
-    def set_up(self, spec, data):
+    def set_up(self):
         self.raw = {}
-        self.resolved_components = _resolve_components(spec, data, data.n_cols - 1, self.raw)
+        self.resolved_components = _resolve_components(self, self.data.n_cols - 1)
 
     def new_chain(self, working: np.ndarray) -> RunningCorrelation:
         return RunningCorrelation.of(working)
 
     def scores(self, working, target, state) -> np.ndarray | None:
-        block_ids = np.delete(np.arange(working.shape[1]), target)
-        block_ids = _drop_constants(working, block_ids, self, state.spread)
-        if block_ids.size == 0:
-            return None
-        q = min(self.resolved_components, max_components(working.shape[0], block_ids.size))
-        self.pca_count += 1
-        return pca(working, q, columns=block_ids, running=state).scores
+        return self.components(working, np.delete(np.arange(working.shape[1]), target), state)
 
 
 class _AllPlan(_Plan):
@@ -373,21 +396,22 @@ class _AllPlan(_Plan):
 
     single_sweep = True
 
-    def set_up(self, spec, data):
+    def set_up(self):
         self.raw = {}
-        self.resolved_components = _resolve_components(spec, data, data.n_cols, self.raw)
-        self.fixed_scores = _fixed_scores(spec, data, np.arange(data.n_cols), self)
+        self.resolved_components = _resolve_components(self, self.data.n_cols)
+        self.fixed_scores = _fixed_scores(self, np.arange(self.data.n_cols))
 
 
 class _AuxPlan(_Plan):
     """pcr-aux: the raw analysis columns plus scores of all other columns."""
 
-    def set_up(self, spec, data):
+    def set_up(self):
+        data = self.data
         analysis = data.columns_with_role(ROLE_ANALYSIS)
         self.raw = {j: analysis[analysis != j] for j in data.incomplete_columns().tolist()}
         others = np.setdiff1d(np.arange(data.n_cols), analysis)
-        self.resolved_components = _resolve_components(spec, data, others.size, self.raw)
-        self.fixed_scores = _fixed_scores(spec, data, others, self)
+        self.resolved_components = _resolve_components(self, others.size)
+        self.fixed_scores = _fixed_scores(self, others)
 
 
 _PLANS = {
@@ -399,8 +423,9 @@ _PLANS = {
 }
 
 
-def _fixed_scores(spec, data, columns, plan) -> np.ndarray:
+def _fixed_scores(plan: _Plan, columns: np.ndarray) -> np.ndarray:
     """Component scores of a pre-pass completion of ``columns``, fixed for the run."""
+    spec, data = plan.spec, plan.data
     # The pre-pass draws from the seed's first child stream; the chains use the others.
     prepass_rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
     # The block skips the container's checks: its cells passed them, and
@@ -412,15 +437,13 @@ def _fixed_scores(spec, data, columns, plan) -> np.ndarray:
     # Written back in place, so the run's column ids and names apply.
     completed = data.values.copy()
     completed[:, columns] = _prepass_complete(spec, block, prepass_rng)
-    live = _drop_constants(completed, columns, plan)
-    if live.size == 0:
+    scores = plan.components(completed, columns)
+    if scores is None:
         raise ValueError(
             f"{spec.strategy} cannot extract components: every column of its "
             "component block is constant"
         )
-    q = min(plan.resolved_components, max_components(completed.shape[0], live.size))
-    plan.pca_count += 1
-    return pca(completed[:, live], q).scores
+    return scores
 
 
 def build_predictors(
@@ -442,14 +465,14 @@ def build_predictors(
 
 
 def _impute_column(
-    spec: ImputationSpec,
-    data: IncompleteData,
+    plan: _Plan,
     working: np.ndarray,
     predictors: np.ndarray,
     target: int,
     rng: np.random.Generator,
     where: str,
 ) -> np.ndarray:
+    spec, data = plan.spec, plan.data
     observed = data.mask[:, target]
     y_obs = data.values[observed, target]
     x_obs = predictors[observed]
@@ -468,16 +491,13 @@ def _impute_column(
     return imputed
 
 
-def run_chain(
-    spec: ImputationSpec,
-    data: IncompleteData,
+def _run_chain(
+    plan: _Plan,
     rng: np.random.Generator,
-    *,
     chain_index: int = 0,
-    plan: _Plan | None = None,
     trace: list[TraceRecord] | None = None,
 ) -> np.ndarray:
-    """Run one chain to completion and return the completed matrix.
+    """Run one chain of ``plan``'s run to completion and return the completed matrix.
 
     The working matrix starts from ``initialize_fill`` and the
     incomplete columns are visited in ascending index order on every
@@ -485,18 +505,17 @@ def run_chain(
     trace record (mean and sample SD of the cells just imputed) is
     appended per visit.
     """
-    if plan is None:
-        plan = _PLANS[spec.strategy](spec, data)
+    data = plan.data
     working = initialize_fill(data, rng)
     # Per chain, so chains stay independent of each other and of worker count.
     state = plan.new_chain(working)
     targets = data.incomplete_columns().tolist()
-    sweeps = 1 if plan.single_sweep else spec.iterations
+    sweeps = 1 if plan.single_sweep else plan.spec.iterations
     for sweep in range(1, sweeps + 1):
         where = f"{plan.stage}chain {chain_index}, iteration {sweep}"
         for target in targets:
             predictors = build_predictors(plan, working, target, state)
-            imputed = _impute_column(spec, data, working, predictors, target, rng, where)
+            imputed = _impute_column(plan, working, predictors, target, rng, where)
             if state is not None:
                 state.refresh(working, target)
             if trace is not None:
@@ -520,7 +539,8 @@ def _prepass_complete(
     """Complete ``data`` once with the pre-pass, a single quickpred chain.
 
     The chain screens at ``spec.prepass_threshold`` and runs
-    ``spec.prepass_iterations`` sweeps.
+    ``spec.prepass_iterations`` sweeps.  Complete input comes back
+    unchanged.
     """
     prepass = replace(
         spec,
@@ -529,46 +549,20 @@ def _prepass_complete(
         iterations=spec.prepass_iterations,
         chains=1,
     )
-    return run_chain(prepass, data, rng, plan=_QuickpredPlan(prepass, data, stage="pre-pass "))
+    return _run_chain(_QuickpredPlan(prepass, data, stage="pre-pass "), rng)
 
 
-def prepass_single_impute(
-    data: IncompleteData,
-    rng: np.random.Generator,
-    threshold: float = 0.3,
-    iterations: int = 20,
-    imputer: str = IMPUTER_BAYES,
-    ridge: float = DEFAULT_RIDGE,
-    donors: int = DEFAULT_DONORS,
-) -> np.ndarray:
-    """Complete a dataset once with the pre-pass quickpred chain.
-
-    Used to bootstrap component extraction for the fixed-score
-    strategies.  Complete input comes back unchanged.
-    """
-    spec = ImputationSpec(
-        strategy=STRATEGY_QUICKPRED,
-        imputer=imputer,
-        prepass_threshold=threshold,
-        prepass_iterations=iterations,
-        donors=donors,
-        ridge=ridge,
-    )
-    return _prepass_complete(spec, data, rng)
-
-
-def _resolve_components(
-    spec: ImputationSpec, data: IncompleteData, block: int, raw: dict[int, np.ndarray]
-) -> int:
+def _resolve_components(plan: _Plan, block: int) -> int:
     """Settle the component count from a plan's predictor budget.
 
     Components come from ``block`` columns and each target also keeps
-    its ``raw`` columns.  Every target's regression must keep at least
-    one residual degree of freedom: its budget is ``observed cases - 2``
-    total predictors, its raw columns included.  For ``"max"`` the count
-    is the largest q within the block bound ``min(n_rows, block)`` and
-    every target's budget; a numeric q must fit both as it is.
+    its ``plan.raw`` columns.  Every target's regression must keep at
+    least one residual degree of freedom: its budget is ``observed cases
+    - 2`` total predictors, its raw columns included.  For ``"max"`` the
+    count is the largest q within the block bound ``min(n_rows, block)``
+    and every target's budget; a numeric q must fit both as it is.
     """
+    spec, data = plan.spec, plan.data
     if block < 1:
         raise ValueError(f"{spec.strategy} has no columns to extract components from")
     ceiling = max_components(data.n_rows, block)
@@ -582,7 +576,7 @@ def _resolve_components(
     least = 1 if wants_max else resolved
     observed_counts = data.mask.sum(axis=0)
     for j in data.incomplete_columns().tolist():
-        n_raw = raw.get(j, _NO_COLUMNS).size
+        n_raw = plan.raw.get(j, _NO_COLUMNS).size
         budget = int(observed_counts[j]) - 2 - n_raw
         if budget < least:
             count = "a positive component count" if wants_max else f"n_components={resolved}"
@@ -625,14 +619,7 @@ def run_impute(spec: ImputationSpec, data: IncompleteData) -> MultiplyImputedSet
     plan = _PLANS[spec.strategy](spec, data)
     trace: list[TraceRecord] = []
     completions = [
-        run_chain(
-            spec,
-            data,
-            np.random.default_rng(children[chain_index + 1]),
-            chain_index=chain_index,
-            plan=plan,
-            trace=trace,
-        )
+        _run_chain(plan, np.random.default_rng(children[chain_index + 1]), chain_index, trace)
         for chain_index in range(spec.chains)
     ]
     return MultiplyImputedSet(

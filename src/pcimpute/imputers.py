@@ -38,13 +38,15 @@ class LinearModelDraw:
     """One posterior draw of a normal linear model.
 
     ``coefficients`` holds the intercept first, then one slope per
-    predictor; ``residual_sd`` is strictly positive; ``ridge`` echoes
-    the stabilization constant used in the normal equations.
+    predictor; ``residual_sd`` is strictly positive.
     """
 
     coefficients: np.ndarray
     residual_sd: float
-    ridge: float
+
+    def mean(self, x: np.ndarray) -> np.ndarray:
+        """Predicted means ``intercept + x @ slopes`` of the rows of ``x``."""
+        return self.coefficients[0] + x @ self.coefficients[1:]
 
 
 def _design(x: np.ndarray) -> np.ndarray:
@@ -110,7 +112,7 @@ def draw_linear_params(
     if residual_sd == 0.0:
         residual_sd = float(np.finfo(float).tiny)
     drawn = coefficients + residual_sd * solve_triangular(lower.T, noise, lower=False)
-    return LinearModelDraw(coefficients=drawn, residual_sd=residual_sd, ridge=ridge)
+    return LinearModelDraw(coefficients=drawn, residual_sd=residual_sd)
 
 
 def draw_predictive(
@@ -122,8 +124,7 @@ def draw_predictive(
     x_mis = np.asarray(x_mis, dtype=float)
     if x_mis.shape[1] != params.coefficients.shape[0] - 1:
         raise ValueError("predictor count does not match the parameter draw")
-    mean = params.coefficients[0] + x_mis @ params.coefficients[1:]
-    return mean + params.residual_sd * rng.standard_normal(x_mis.shape[0])
+    return params.mean(x_mis) + params.residual_sd * rng.standard_normal(x_mis.shape[0])
 
 
 def _finite_vector(values, name: str) -> np.ndarray:
@@ -214,17 +215,16 @@ def pmm_impute(
 ) -> np.ndarray:
     """Impute by predictive-mean matching against observed outcomes.
 
-    A single posterior parameter draw scores observed and missing rows;
-    each missing row then receives the observed outcome of one donor
+    A single posterior parameter draw scores observed and missing rows
+    with one formula, so identical predictor rows tie exactly; each
+    missing row then receives the observed outcome of one donor
     drawn uniformly from its ``donors`` nearest observed rows.  Every
     imputed value is therefore an observed value of the column.
     """
     y_obs = np.asarray(y_obs, dtype=float).ravel()
+    x_obs = np.asarray(x_obs, dtype=float)
     x_mis = np.asarray(x_mis, dtype=float)
     params = draw_linear_params(y_obs, x_obs, rng, ridge)
-    design_obs = _design(np.asarray(x_obs, dtype=float))
-    pred_obs = design_obs @ params.coefficients
-    pred_mis = params.coefficients[0] + x_mis @ params.coefficients[1:]
-    pools = nearest_donors(pred_obs, pred_mis, donors)
+    pools = nearest_donors(params.mean(x_obs), params.mean(x_mis), donors)
     picks = rng.integers(donors, size=x_mis.shape[0])
     return y_obs[pools[np.arange(x_mis.shape[0]), picks]]

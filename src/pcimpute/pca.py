@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ENUMERATION_METHODS = (
-    "kaiser",
-    "parallel-analysis",
-    "optimal-coordinates",
-    "acceleration-factor",
-)
+# Component-count rule -> its ``pcimpute enumerate --rule`` tag, in rule order.
+ENUMERATION_METHODS = {
+    "kaiser": "kaiser",
+    "parallel-analysis": "pa",
+    "optimal-coordinates": "oc",
+    "acceleration-factor": "af",
+}
 
 
 def standardize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -433,6 +433,26 @@ class TestSimulateCommand:
         assert not (tmp_path / "results").exists()  # refused before any replication ran
 
     @pytest.mark.parametrize(
+        ("settings", "message"),
+        [
+            ({"chains": 2.5}, "chains must be an integer, got 2.5"),
+            ({"donors": 2.5, "imputer": "pmm"}, "donors must be an integer, got 2.5"),
+            ({"donors": True}, "donors must be an integer, got True"),
+            ({"iterations": "3"}, "iterations must be an integer, got '3'"),
+            ({"corr_threshold": True}, "corr_threshold must be a number, got True"),
+            ({"ridge": "0"}, "ridge must be a number, got '0'"),
+        ],
+    )
+    def test_mistyped_settings_exit_1(self, tmp_path, capsys, settings, message):
+        path = self._config(tmp_path)
+        config = json.loads(path.read_text(encoding="utf-8"))
+        config["settings"] = settings
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert f"bad settings: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
         ("key", "value", "message"),
         [
             ("reps", 0, "reps must be a positive integer, got 0"),

@@ -20,7 +20,6 @@ from pcimpute.engine import (
     STRATEGY_VBV,
     ImputationSpec,
     initialize_fill,
-    prepass_single_impute,
     quickpred_select,
     run_impute,
 )
@@ -67,6 +66,21 @@ class TestImputationSpec:
             ImputationSpec(strategy=STRATEGY_VBV, iterations=0)
         with pytest.raises(ValueError, match="donors"):
             ImputationSpec(strategy=STRATEGY_VBV, donors=0)
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("chains", 2.5, "chains must be an integer, got 2.5"),
+            ("prepass_iterations", True, "prepass_iterations must be an integer, got True"),
+            ("prepass_threshold", None, "prepass_threshold must be a number, got None"),
+            ("n_components", True, "n_components must be a positive integer or 'max'"),
+            ("seed", True, "seed must be a non-negative integer, got True"),
+            ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+        ],
+    )
+    def test_mistyped_values_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ImputationSpec(strategy=STRATEGY_VBV, **{field: value})
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
@@ -358,15 +372,42 @@ class TestComponentResolution:
 class TestPrepass:
     def test_completes_and_preserves(self):
         data = make_incomplete(seed=71)
-        completed = prepass_single_impute(data, np.random.default_rng(0))
+        completed = engine._prepass_complete(
+            _spec(STRATEGY_QUICKPRED), data, np.random.default_rng(0)
+        )
         assert_observed_preserved(data, completed)
 
     def test_complete_input_unchanged(self):
         rng = np.random.default_rng(73)
         values = rng.standard_normal((20, 4))
         data = IncompleteData.from_matrix(values)
-        completed = prepass_single_impute(data, np.random.default_rng(1))
+        completed = engine._prepass_complete(
+            _spec(STRATEGY_QUICKPRED), data, np.random.default_rng(1)
+        )
         np.testing.assert_array_equal(completed, values)
+
+    def test_runs_its_own_sweeps_at_its_own_threshold(self, monkeypatch):
+        build = engine.build_predictors
+        visits = []
+
+        def record(plan, working, target, state=None):
+            visits.append((plan.stage, target, plan.raw[target].tolist()))
+            return build(plan, working, target, state)
+
+        monkeypatch.setattr(engine, "build_predictors", record)
+        data = make_incomplete(seed=83)
+        spec = _spec(
+            STRATEGY_ALL,
+            iterations=7,
+            corr_threshold=0.0,
+            prepass_iterations=4,
+            prepass_threshold=0.6,
+        )
+        engine._prepass_complete(spec, data, np.random.default_rng(2))
+        targets = data.incomplete_columns().tolist()
+        screened = {j: quickpred_select(data, j, 0.6).tolist() for j in targets}
+        assert any(len(screened[j]) < data.n_cols - 1 for j in targets)  # 0.6 screens
+        assert visits == [("pre-pass ", j, screened[j]) for _ in range(4) for j in targets]
 
     def test_failure_names_stage_chain_and_column(self, monkeypatch):
         def fail(*args, **kwargs):

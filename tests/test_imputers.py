@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcimpute import imputers
 from pcimpute.imputers import (
     LinearModelDraw,
     draw_linear_params,
@@ -111,16 +112,12 @@ class TestDrawLinearParams:
 
 class TestDrawPredictive:
     def test_mean_and_noise(self):
-        params = LinearModelDraw(
-            coefficients=np.array([1.0, 2.0]), residual_sd=0.0, ridge=0.0
-        )
+        params = LinearModelDraw(coefficients=np.array([1.0, 2.0]), residual_sd=0.0)
         out = draw_predictive(params, np.array([[3.0], [0.5]]), np.random.default_rng(0))
         np.testing.assert_allclose(out, [7.0, 2.0])
 
     def test_predictor_count_checked(self):
-        params = LinearModelDraw(
-            coefficients=np.array([0.0, 1.0]), residual_sd=1.0, ridge=0.0
-        )
+        params = LinearModelDraw(coefficients=np.array([0.0, 1.0]), residual_sd=1.0)
         with pytest.raises(ValueError, match="predictor count"):
             draw_predictive(params, np.ones((2, 2)), np.random.default_rng(0))
 
@@ -232,3 +229,21 @@ class TestPmm:
         out = pmm_impute(y_obs, x_obs, x_mis, np.random.default_rng(0), donors=1)
         assert out[0] in y_obs
         assert abs(out[0] - 12.0) <= 3.0  # donor is 4.0 or a close neighbor
+
+    def test_identical_rows_get_identical_predictions(self, monkeypatch):
+        # Integer codes, as coarsened study columns have: the observed and the
+        # missing side must score a shared row bit for bit alike, or the donor
+        # ranking splits rows that tie.
+        rng = np.random.default_rng(3)
+        x_obs = rng.integers(1, 4, size=(40, 4)).astype(float)
+        y_obs = x_obs @ [0.7, -0.3, 0.2, 0.1] + rng.standard_normal(40)
+        seen = []
+
+        def record(pred_obs, pred_mis, donors):
+            seen.append((pred_obs, pred_mis))
+            return nearest_donors(pred_obs, pred_mis, donors)
+
+        monkeypatch.setattr(imputers, "nearest_donors", record)
+        pmm_impute(y_obs, x_obs, x_obs.copy(), np.random.default_rng(0))
+        [(pred_obs, pred_mis)] = seen
+        np.testing.assert_array_equal(pred_mis, pred_obs)

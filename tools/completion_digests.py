@@ -13,7 +13,8 @@ work in both blocks), on a two-column dataset (a one-column pre-pass
 block) and, with pcr-vbv, on p = 56 data with a constant column; pmm
 where donor ties are heavy (intercept-only quickpred models, so every
 prediction ties, and every strategy on columns coded 1..3);
-``prepass_single_impute`` with both imputers; two small ``run_study``
+the pre-pass alone (``engine._prepass_complete``, under the label of the
+removed ``prepass_single_impute``) with both imputers; two small ``run_study``
 grids with the runtime column pinned to zero (the bytes of their
 metrics.csv and estimates.csv, and their failure lists), one of them
 with method entries that fail in some replications; the output files of
@@ -21,8 +22,10 @@ with method entries that fail in some replications; the output files of
 ``pcimpute pool`` output over all four parameter kinds and a repeated
 entry, on seeded completions and on identical copies of one completion;
 and ``mar_diagnostics`` on seeded conditions (``float.hex`` of each
-target's ``auc`` and ``pseudo_r2``).  Only the public API is used, so
-any checkout can run it.  Takes about a minute.
+target's ``auc`` and ``pseudo_r2``).  Apart from the pre-pass, which
+has no public entry, only the public API is used, so any checkout that
+has ``engine._prepass_complete(spec, data, rng)`` can run it.  Takes
+about a minute.
 
 Some digests depend on the BLAS thread count (a multithreaded BLAS may
 sum in another order), so the script pins OpenBLAS, OpenMP and MKL to one
@@ -46,7 +49,7 @@ for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402 - after the thread pins
 
 import pcimpute  # noqa: E402
-from pcimpute import cli  # noqa: E402
+from pcimpute import cli, engine  # noqa: E402
 from pcimpute.simulation import write_estimates_csv, write_metrics_csv  # noqa: E402
 
 IMPUTERS = ("bayesian-normal", "pmm")
@@ -152,10 +155,10 @@ def run_cases():
             result = pcimpute.run_impute(spec, data)
             yield f"run_impute {label} {strategy} pmm", digest(*result.completions)
 
+    # The pre-pass alone: its single quickpred chain at threshold 0.3, 5 sweeps.
     for imputer in IMPUTERS:
-        completed = pcimpute.prepass_single_impute(
-            wide[56], np.random.default_rng(3), iterations=5, imputer=imputer
-        )
+        spec = pcimpute.ImputationSpec(strategy="quickpred", imputer=imputer, prepass_iterations=5)
+        completed = engine._prepass_complete(spec, wide[56], np.random.default_rng(3))
         yield f"prepass_single_impute {imputer}", digest(completed)
 
     conditions = [
