@@ -40,6 +40,7 @@ from .simulation import (
     MethodSetting,
     SimulationCondition,
     StudySettings,
+    check_run,
     run_study,
     write_estimates_csv,
     write_metrics_csv,
@@ -262,10 +263,10 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else run_section.get("seed", 0)
     workers = args.workers if args.workers is not None else run_section.get("workers", 1)
     reps = run_section["reps"]
-    for name, value, least in (("reps", reps, 1), ("workers", workers, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            kind = "a positive" if least else "a non-negative"
-            raise UsageError(f"bad run section: {name} must be {kind} integer, got {value!r}")
+    try:
+        check_run(reps, workers, seed)
+    except ValueError as err:
+        raise UsageError(f"bad run section: {err}") from None
     settings_section = config.get("settings", {})
     allowed = [f.name for f in fields(StudySettings)]
     _check_keys(settings_section, allowed, "settings")

@@ -139,11 +139,6 @@ class IncompleteData:
         return np.flatnonzero(~self.mask.all(axis=0))
 
 
-def response_proportions(data: IncompleteData) -> np.ndarray:
-    """Fraction of observed cells per column, in [0, 1]."""
-    return data.mask.mean(axis=0)
-
-
 def complete_case_rows(data: IncompleteData) -> np.ndarray:
     """Indices of rows with every cell observed, ascending."""
     return np.flatnonzero(data.mask.all(axis=1))

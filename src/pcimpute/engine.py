@@ -34,6 +34,10 @@ Observed cells are never modified; missing cells always hold the most
 recent draw.  All randomness flows from one integer seed through
 per-chain child streams, so results are reproducible bit for bit for a
 fixed BLAS thread count, and adding chains never perturbs earlier ones.
+A run uses the process's BLAS thread count, and a multithreaded BLAS
+may round differently, so a single run's bits can depend on that count;
+``simulation.run_study`` runs every replication on one thread, so a
+study's output does not.
 """
 
 from __future__ import annotations

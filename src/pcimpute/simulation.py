@@ -10,16 +10,21 @@ estimates with percent relative bias, confidence-interval width, and
 confidence-interval coverage.
 
 Every replication reseeds itself from the root seed and its own index,
-so single replications can be rerun in isolation and the worker count
-never changes statistical output.
+and runs on one BLAS thread, so single replications can be rerun in
+isolation and neither the worker count nor the process's BLAS thread
+count changes statistical output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import expit
@@ -30,6 +35,7 @@ from .engine import (
     PCR_STRATEGIES,
     ImputationSpec,
     StudySettings,
+    _is_a,
     run_impute,
 )
 from .pooling import analyze_set, estimate_parameter, moment_parameter_ids
@@ -63,6 +69,14 @@ class SimulationCondition:
     missing_proportion: float = 0.3
 
     def __post_init__(self) -> None:
+        counts = ("n_rows", "factors", "items_per_factor", "categories")
+        for name in (f.name for f in fields(self)):
+            value = getattr(self, name)
+            if name == "categories" and value is None:
+                continue
+            kind, noun = (Integral, "an integer") if name in counts else (Real, "a number")
+            if not _is_a(value, kind):
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
         if self.n_rows < 10:
             raise ValueError("n_rows must be at least 10")
         if self.factors < 2:
@@ -429,59 +443,117 @@ def method_seed(root_seed: int, condition_index: int, rep: int, method_index: in
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) thread-count functions of each OpenBLAS this process loaded.
+
+    numpy bundles ``libscipy_openblas64_`` and scipy its own
+    ``libscipy_openblas``; both are found through ``/proc/self/maps``.
+    Empty where there is no ``/proc`` or no OpenBLAS (MKL, Accelerate).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            getter = getattr(library, f"scipy_openblas_get_num_threads{suffix}", None)
+            setter = getattr(library, f"scipy_openblas_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                controls.append((getter, setter))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int):
+    """Run the body with every loaded OpenBLAS at ``count`` threads, then restore each.
+
+    A multithreaded BLAS may split a product differently and so round
+    differently; a study replication is a small problem that one thread
+    does as fast with half the CPU.  Does nothing without OpenBLAS.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_count in controls:
+        set_count(count)
+    try:
+        yield
+    finally:
+        for (_, set_count), previous in zip(controls, saved):
+            set_count(previous)
+
+
 def _replication(args) -> list:
-    """One replication: every method on the same amputed dataset.
+    """One replication, on one BLAS thread: every method on the same amputed dataset.
 
     Returns one outcome per method entry, in order: its estimate
     records (in ``moment_parameter_ids`` order) and runtime, or its
     failure message.
     """
     (root_seed, cond_index, rep, cond, methods, settings, deterministic_timer) = args
-    timer = time.perf_counter if not deterministic_timer else (lambda: 0.0)
-    sequence = np.random.SeedSequence(root_seed, spawn_key=(cond_index, rep))
-    gen_child, amp_child = sequence.spawn(2)
-    values, roles = generate_complete(cond, np.random.default_rng(gen_child))
-    coarse = coarsen(values, roles, cond.categories)
-    mar_ids = [j for j, role in enumerate(roles) if role == ROLE_MAR]
-    data = ampute(coarse, roles, cond, np.random.default_rng(amp_child), values[:, mar_ids])
-    pids = moment_parameter_ids(data.columns_with_role(ROLE_ANALYSIS))
-    full_scale = {}
-    for pid in pids:
-        estimate, _ = estimate_parameter(coarse, pid)
-        full_scale[pid] = float(np.tanh(estimate)) if pid.kind == "correlation" else estimate
-    outcomes = []
-    for method_index, method in enumerate(methods):
-        spec = method.spec(settings, method_seed(root_seed, cond_index, rep, method_index))
-        started = timer()
-        try:
-            imputed_set = run_impute(spec, data)
-            pooled = analyze_set(imputed_set.completions, pids)
-        except Exception as err:  # noqa: BLE001 - failures are data, not crashes
-            outcomes.append(
-                f"condition {cond_index}, rep {rep}, method {method.strategy}"
-                f"({method.components_label}): {err}"
-            )
-            continue
-        runtime = timer() - started
-        rows = [
-            EstimateRecord(
-                n_rows=cond.n_rows,
-                n_cols=cond.n_cols,
-                noise_fraction=cond.noise_fraction,
-                categories=cond.categories,
-                rep=rep,
-                method=method.strategy,
-                n_components=method.n_components,
-                parameter=pid.label(data.names),
-                estimate=pooled[pid].estimate,
-                ci_lower=pooled[pid].ci_lower,
-                ci_upper=pooled[pid].ci_upper,
-                full_estimate=full_scale[pid],
-            )
-            for pid in pids
-        ]
-        outcomes.append((rows, runtime))
-    return outcomes
+    with _blas_threads(1):
+        timer = time.perf_counter if not deterministic_timer else (lambda: 0.0)
+        sequence = np.random.SeedSequence(root_seed, spawn_key=(cond_index, rep))
+        gen_child, amp_child = sequence.spawn(2)
+        values, roles = generate_complete(cond, np.random.default_rng(gen_child))
+        coarse = coarsen(values, roles, cond.categories)
+        mar_ids = [j for j, role in enumerate(roles) if role == ROLE_MAR]
+        data = ampute(coarse, roles, cond, np.random.default_rng(amp_child), values[:, mar_ids])
+        pids = moment_parameter_ids(data.columns_with_role(ROLE_ANALYSIS))
+        full_scale = {}
+        for pid in pids:
+            estimate, _ = estimate_parameter(coarse, pid)
+            full_scale[pid] = float(np.tanh(estimate)) if pid.kind == "correlation" else estimate
+        outcomes = []
+        for method_index, method in enumerate(methods):
+            spec = method.spec(settings, method_seed(root_seed, cond_index, rep, method_index))
+            started = timer()
+            try:
+                imputed_set = run_impute(spec, data)
+                pooled = analyze_set(imputed_set.completions, pids)
+            except Exception as err:  # noqa: BLE001 - failures are data, not crashes
+                outcomes.append(
+                    f"condition {cond_index}, rep {rep}, method {method.strategy}"
+                    f"({method.components_label}): {err}"
+                )
+                continue
+            runtime = timer() - started
+            rows = [
+                EstimateRecord(
+                    n_rows=cond.n_rows,
+                    n_cols=cond.n_cols,
+                    noise_fraction=cond.noise_fraction,
+                    categories=cond.categories,
+                    rep=rep,
+                    method=method.strategy,
+                    n_components=method.n_components,
+                    parameter=pid.label(data.names),
+                    estimate=pooled[pid].estimate,
+                    ci_lower=pooled[pid].ci_lower,
+                    ci_upper=pooled[pid].ci_upper,
+                    full_estimate=full_scale[pid],
+                )
+                for pid in pids
+            ]
+            outcomes.append((rows, runtime))
+        return outcomes
+
+
+def check_run(reps, workers, seed) -> None:
+    """Refuse a study's replication count, worker count or root seed if it is not valid."""
+    for name, value, least in (("reps", reps, 1), ("workers", workers, 1), ("seed", seed, 0)):
+        if not _is_a(value, Integral) or value < least:
+            kind = "a positive" if least else "a non-negative"
+            raise ValueError(f"{name} must be {kind} integer, got {value!r}")
 
 
 def run_study(
@@ -497,15 +569,14 @@ def run_study(
 
     Within a replication every method imputes the same amputed dataset.
     Replications are independent work items seeded by (seed, condition,
-    rep), so any worker count yields the same estimates and metrics;
-    only the runtime column varies, and ``deterministic_timer`` pins it
-    to zero when byte-stable output matters more than timings.
+    rep) and run on one BLAS thread, so any worker count and any BLAS
+    thread count yield the same estimates and metrics; only the runtime
+    column varies, and ``deterministic_timer`` pins it to zero when
+    byte-stable output matters more than timings.  Parallelism comes
+    from ``workers``.
     """
     methods = list(methods)
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
+    check_run(reps, workers, seed)
     jobs = [
         (seed, cond_index, rep, cond, methods, settings, deterministic_timer)
         for cond_index, cond in enumerate(conditions)

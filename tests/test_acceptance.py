@@ -67,7 +67,8 @@ def _cell(noise_fraction, categories):
 def study_collinear():
     """No noise factors, continuous predictors, S=200."""
     return run_study(
-        [_cell(0.0, None)], [VBV7, QP, ORACLE], reps=200, seed=11, settings=SETTINGS
+        [_cell(0.0, None)], [VBV7, QP, ORACLE], reps=200, seed=11, workers=2,
+        settings=SETTINGS,
     )
 
 
@@ -75,7 +76,7 @@ def study_collinear():
 def study_dichotomized():
     """Dichotomized predictors at both noise levels, S=200."""
     return run_study(
-        [_cell(0.0, 2), _cell(1.0, 2)], [VBV7, ORACLE], reps=200, seed=22,
+        [_cell(0.0, 2), _cell(1.0, 2)], [VBV7, ORACLE], reps=200, seed=22, workers=2,
         settings=SETTINGS,
     )
 
@@ -84,13 +85,15 @@ def study_dichotomized():
 def study_noise():
     """All non-anchor factors weak, continuous predictors, S=100."""
     return run_study(
-        [_cell(1.0, None)], [VBV1, VBV7, ORACLE], reps=100, seed=33, settings=SETTINGS
+        [_cell(1.0, None)], [VBV1, VBV7, ORACLE], reps=100, seed=33, workers=2,
+        settings=SETTINGS,
     )
 
 
 @pytest.fixture(scope="session")
 def study_wide():
-    """242-column configuration, S=5, wall-clock timers enabled."""
+    """242-column configuration, S=5, wall-clock timers enabled, serial so
+    that the timed replications do not share the cores."""
     return run_study(
         [SimulationCondition(n_rows=500, items_per_factor=39)],
         [AUX7, ALL7, VBV6, VBV7],

@@ -477,6 +477,24 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path)]) == 1
         assert "whole number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("n_rows", 80.5, "n_rows must be an integer, got 80.5"),
+            ("factors", 3.0, "factors must be an integer, got 3.0"),
+            ("categories", 2.5, "categories must be an integer, got 2.5"),
+        ],
+    )
+    def test_mistyped_grid_cell_exit_1(self, tmp_path, capsys, key, value, message):
+        path = self._config(tmp_path)
+        config = json.loads(path.read_text(encoding="utf-8"))
+        config["grid"][key] = value
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "bad grid cell" in err and message in err
+        assert not (tmp_path / "results").exists()
+
 
 class TestEntryPoint:
     def test_module_invocation_shows_help(self):

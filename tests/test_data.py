@@ -13,7 +13,6 @@ from pcimpute.data import (
     ROLE_AUXILIARY,
     complete_case_rows,
     load_csv,
-    response_proportions,
     write_csv,
 )
 from tests.oracles import complete_rows_scan
@@ -72,11 +71,6 @@ class TestIncompleteData:
 
 
 class TestHelpers:
-    def test_response_proportions_hand_case(self):
-        values = np.array([[1.0, 1.0], [1.0, np.nan], [np.nan, 1.0], [1.0, 1.0]])
-        data = IncompleteData.from_matrix(values)
-        assert response_proportions(data).tolist() == [0.75, 0.75]
-
     def test_complete_case_rows_matches_scan(self):
         rng = np.random.default_rng(4)
         for _ in range(20):

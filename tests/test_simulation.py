@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -24,6 +26,8 @@ from pcimpute.simulation import (
     MethodSetting,
     SimulationCondition,
     StudySettings,
+    _blas_threads,
+    _openblas_thread_controls,
     ampute,
     calibrate_intercept,
     coarsen,
@@ -68,6 +72,26 @@ class TestCondition:
     def test_categories_validated(self):
         with pytest.raises(ValueError, match="categories"):
             SimulationCondition(categories=1)
+
+    @pytest.mark.parametrize(
+        ("field", "value", "noun"),
+        [
+            ("n_rows", 80.5, "an integer"),
+            ("factors", 3.0, "an integer"),
+            ("items_per_factor", True, "an integer"),
+            ("categories", 2.5, "an integer"),
+            ("categories", False, "an integer"),
+            ("loading", True, "a number"),
+            ("missing_proportion", "0.3", "a number"),
+            ("target_mean", None, "a number"),
+        ],
+    )
+    def test_field_types_validated(self, field, value, noun):
+        with pytest.raises(ValueError, match=f"{field} must be {noun}, got {value!r}"):
+            SimulationCondition(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        assert SimulationCondition(n_rows=np.int64(80), categories=np.int64(3)).n_rows == 80
 
     def test_roles_layout(self):
         roles = condition_roles(MICRO)
@@ -367,6 +391,35 @@ class TestRunStudy:
             )
             assert left.estimate == right.estimate
 
+    def test_blas_thread_count_does_not_change_results(self):
+        # Unpinned, these estimates differ between one and two OpenBLAS threads.
+        runs = []
+        for threads, workers in itertools.product((1, 2), (1, 2)):
+            with _blas_threads(threads):
+                result = _micro_study(
+                    conditions=[SimulationCondition(n_rows=20, items_per_factor=39)],
+                    methods=[MethodSetting(strategy=STRATEGY_AUX, n_components=7)],
+                    settings=StudySettings(chains=2, iterations=1, prepass_iterations=1),
+                    workers=workers,
+                )
+            assert not result.failures
+            runs.append(([vars(r) for r in result.estimates], [vars(r) for r in result.metrics]))
+        assert all(run == runs[0] for run in runs[1:])
+
+    @pytest.mark.parametrize(
+        ("name", "value", "message"),
+        [
+            ("reps", 0, "reps must be a positive integer, got 0"),
+            ("reps", True, "reps must be a positive integer, got True"),
+            ("workers", 2.0, "workers must be a positive integer, got 2.0"),
+            ("seed", -1, "seed must be a non-negative integer, got -1"),
+            ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+        ],
+    )
+    def test_run_arguments_validated(self, name, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _micro_study(**{name: value})
+
     def test_replications_in_condition_rep_method_order(self):
         conditions = [MICRO, dataclasses.replace(MICRO, noise_fraction=0.5)]
         serial = _micro_study(conditions=conditions)
@@ -439,6 +492,30 @@ PARTIAL_METHODS = [
     MethodSetting(strategy=STRATEGY_AUX, n_components=5),
     MethodSetting(strategy=STRATEGY_AUX, n_components=5),
 ]
+
+
+class TestBlasThreads:
+    @staticmethod
+    def _counts() -> list[int]:
+        controls = _openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded")
+        return [get() for get, _ in controls]
+
+    def test_restores_prior_count_after_normal_exit(self):
+        with _blas_threads(2):
+            prior = self._counts()
+            with _blas_threads(1):
+                assert self._counts() == [1] * len(prior)
+            assert self._counts() == prior
+
+    def test_restores_prior_count_after_exception(self):
+        with _blas_threads(2):
+            prior = self._counts()
+            with pytest.raises(RuntimeError, match="inside"):
+                with _blas_threads(1):
+                    raise RuntimeError("inside")
+            assert self._counts() == prior
 
 
 @pytest.fixture(scope="module")
