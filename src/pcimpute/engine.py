@@ -4,7 +4,11 @@ Each chain starts from random draws of observed values, then sweeps the
 incomplete columns in ascending index order for a fixed number of
 iterations.  At every visit the target column is regressed on a
 predictor matrix assembled by the run's plan, the one per-run object
-(its spec and data, set up once, shared by every chain):
+(its spec and data, set up once, shared by every chain).  The plan
+keeps each target's predictors on its observed and missing rows, and
+their ridged Gram, from the target's first visit on; a later visit
+rewrites only the columns that can have changed (incomplete raw
+columns, per-visit scores) and their Gram rows.  The strategies:
 
 * ``pcr-vbv``     principal-component scores of every other column,
                   recomputed from the current working matrix at every
@@ -59,6 +63,7 @@ from .imputers import (
     draw_linear_params,
     draw_predictive,
     pmm_impute,
+    ridged_gram,
 )
 from .pca import RunningCorrelation, max_components, pca
 
@@ -289,7 +294,9 @@ _NO_COLUMNS = np.empty(0, dtype=int)
 
 class _Plan:
     """The one per-run object: its spec and data, which predictors the
-    column visits of one strategy see, set up once, and the run's counters.
+    column visits of one strategy see, set up once, each target's
+    predictor cache (``designs``, made at its first visit) and the run's
+    counters.
 
     A visit's predictors are the target's ``raw`` columns that are not
     constant, then the plan's ``scores``.  The pcr plans settle q during
@@ -311,6 +318,7 @@ class _Plan:
         self.resolved_components: int | None = None
         self.pca_count = 0
         self.warned_drops: set[str] = set()
+        self.designs: dict[int, _Design] = {}
         self.set_up()
 
     def set_up(self) -> None:
@@ -450,28 +458,103 @@ def _fixed_scores(plan: _Plan, columns: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _refresh_gram(gram: np.ndarray, x: np.ndarray, border: np.ndarray, ridge: float) -> None:
+    """Recompute, in place, the rows and columns of ``gram = ridged_gram(x, ridge)``
+    that belong to the predictors at positions ``border`` of ``x``, in O(n r b)."""
+    columns = x[:, border]
+    cross = columns.T @ x
+    cross[np.arange(border.size), border] += ridge
+    at = border + 1
+    gram[at, 0] = gram[0, at] = columns.sum(axis=0)
+    gram[1:, at] = cross.T
+    gram[at, 1:] = cross
+
+
+class _Design:
+    """One target's visit predictors on its observed and missing rows, and their ridged Gram.
+
+    Made at the target's first visit and kept on the plan, so every
+    chain and sweep shares it.  Its raw columns are the target's complete
+    raw columns that are not constant (checked here, once per run), then
+    all of its incomplete ones, in ascending order; the plan's scores
+    follow.  A later visit rewrites only the ``border``, the columns
+    that can change between visits (the incomplete raw columns, and
+    every score under ``pcr-vbv``), and refreshes their Gram rows and
+    columns; when the border is half the columns or more, the full
+    product is cheaper and replaces the Gram.  A width change (a
+    per-visit q that shrank) rebuilds it.  It holds n x r predictor
+    cells and one (r + 1)^2 Gram.
+    """
+
+    def __init__(self, plan: _Plan, target: int) -> None:
+        raw = plan.raw.get(target, _NO_COLUMNS)
+        complete = plan.data.mask[:, raw].all(axis=0)
+        kept = _drop_constants(plan.data.values, raw[complete], plan)
+        self.columns = np.union1d(kept, raw[~complete])
+        self.moving = np.flatnonzero(~plan.data.mask[:, self.columns].all(axis=0))
+        self.observed = plan.data.mask[:, target]
+        self.gram: np.ndarray | None = None
+
+    def fill(self, plan: _Plan, working: np.ndarray, scores: np.ndarray | None) -> None:
+        """Write this visit's predictors and bring the Gram up to date."""
+        n_raw = self.columns.size
+        width = n_raw + (0 if scores is None else scores.shape[1])
+        rebuild = self.gram is None or self.gram.shape[0] != width + 1
+        if rebuild:
+            border = np.arange(width)
+            self.x_obs = np.empty((int(self.observed.sum()), width))
+            self.x_mis = np.empty((self.observed.size - self.x_obs.shape[0], width))
+        elif scores is not None and plan.fixed_scores is None:
+            border = np.concatenate([self.moving, np.arange(n_raw, width)])
+        else:
+            border = self.moving
+        values = working[:, self.columns[border[border < n_raw]]]
+        if border.size > values.shape[1]:
+            values = np.hstack([values, scores])
+        self.x_obs[:, border] = values[self.observed]
+        self.x_mis[:, border] = values[~self.observed]
+        # The refresh costs O(n r b) against the full product's O(n r^2 / 2).
+        if rebuild or 2 * border.size >= width:
+            self.gram = ridged_gram(self.x_obs, plan.spec.ridge)
+        elif border.size:
+            _refresh_gram(self.gram, self.x_obs, border, plan.spec.ridge)
+
+
 def build_predictors(
     plan: _Plan,
     working: np.ndarray,
     target: int,
     state: RunningCorrelation | None = None,
-) -> np.ndarray:
-    """Assemble the predictor matrix for one column visit.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The predictors of one column visit, as ``(x_obs, x_mis, gram)``.
 
     ``working`` must be a complete matrix holding current draws in the
     missing cells, and ``state`` the chain's ``plan.new_chain`` state.
     The predictors are the target's raw columns under ``plan`` that are
-    not constant in ``working``, followed by the plan's component scores.
+    not constant in ``working``, followed by the plan's component scores,
+    on the target's observed rows (``x_obs``) and missing rows
+    (``x_mis``); ``gram`` is ``ridged_gram(x_obs, plan.spec.ridge)`` up
+    to rounding.  They are the plan's cache for the target (see
+    ``_Design``), valid until the target's next visit.
     """
-    raw = working[:, _drop_constants(working, plan.raw.get(target, _NO_COLUMNS), plan)]
-    scores = plan.scores(working, target, state)
-    return raw if scores is None else np.hstack([raw, scores])
+    design = plan.designs.get(target)
+    if design is None:
+        design = plan.designs[target] = _Design(plan, target)
+    moving = design.columns[design.moving]
+    dead = design.moving[~np.isin(moving, _drop_constants(working, moving, plan))]
+    design.fill(plan, working, plan.scores(working, target, state))
+    if dead.size == 0:
+        return design.x_obs, design.x_mis, design.gram
+    # A moving column that is constant at this visit sits out this visit only.
+    keep = np.delete(np.arange(design.x_obs.shape[1]), dead)
+    gram = design.gram[np.ix_(np.append(0, keep + 1), np.append(0, keep + 1))]
+    return design.x_obs[:, keep], design.x_mis[:, keep], gram
 
 
 def _impute_column(
     plan: _Plan,
     working: np.ndarray,
-    predictors: np.ndarray,
+    predictors: tuple[np.ndarray, np.ndarray, np.ndarray],
     target: int,
     rng: np.random.Generator,
     where: str,
@@ -479,14 +562,13 @@ def _impute_column(
     spec, data = plan.spec, plan.data
     observed = data.mask[:, target]
     y_obs = data.values[observed, target]
-    x_obs = predictors[observed]
-    x_mis = predictors[~observed]
+    x_obs, x_mis, gram = predictors
     try:
         if spec.imputer == IMPUTER_BAYES:
-            params = draw_linear_params(y_obs, x_obs, rng, spec.ridge)
+            params = draw_linear_params(y_obs, x_obs, rng, spec.ridge, gram=gram)
             imputed = draw_predictive(params, x_mis, rng)
         else:
-            imputed = pmm_impute(y_obs, x_obs, x_mis, rng, spec.donors, spec.ridge)
+            imputed = pmm_impute(y_obs, x_obs, x_mis, rng, spec.donors, spec.ridge, gram=gram)
     except ValueError as err:
         raise ValueError(f"{where}, column {data.names[target]!r}: {err}") from err
     if not np.isfinite(imputed).all():

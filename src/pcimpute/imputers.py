@@ -56,22 +56,33 @@ def _design(x: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
-def ridged_least_squares(x: np.ndarray, y: np.ndarray, ridge: float = DEFAULT_RIDGE):
-    """Solve the ridge-stabilized normal equations for ``y ~ 1 + x``.
+def _ridged(design: np.ndarray, ridge: float) -> np.ndarray:
+    return design.T @ design + ridge * np.eye(design.shape[1])
 
-    Returns ``(coefficients, cholesky_factor)`` where the factor is the
-    lower Cholesky triangle of ``design' design + ridge * I``.
-    """
-    design = _design(x)
-    y = np.asarray(y, dtype=float).ravel()
+
+def ridged_gram(x: np.ndarray, ridge: float = DEFAULT_RIDGE) -> np.ndarray:
+    """The ridged Gram ``[1, x]' [1, x] + ridge * I`` of ``x`` with an intercept column first."""
+    return _ridged(_design(x), ridge)
+
+
+def _solve(design: np.ndarray, y: np.ndarray, gram: np.ndarray):
     if design.shape[0] != y.shape[0]:
         raise ValueError("predictor and outcome row counts differ")
     if not (np.isfinite(design).all() and np.isfinite(y).all()):
         raise ValueError("design and outcome must be finite")
-    gram = design.T @ design + ridge * np.eye(design.shape[1])
     lower = np.linalg.cholesky(gram)
     coefficients = cho_solve((lower, True), design.T @ y)
     return coefficients, lower
+
+
+def ridged_least_squares(x: np.ndarray, y: np.ndarray, ridge: float = DEFAULT_RIDGE):
+    """Solve the ridge-stabilized normal equations for ``y ~ 1 + x``.
+
+    Returns ``(coefficients, cholesky_factor)`` where the factor is the
+    lower Cholesky triangle of ``ridged_gram(x, ridge)``.
+    """
+    design = _design(x)
+    return _solve(design, np.asarray(y, dtype=float).ravel(), _ridged(design, ridge))
 
 
 def draw_linear_params(
@@ -79,13 +90,17 @@ def draw_linear_params(
     x_obs: np.ndarray,
     rng: np.random.Generator,
     ridge: float = DEFAULT_RIDGE,
+    gram: np.ndarray | None = None,
 ) -> LinearModelDraw:
     """Draw linear-model parameters from their posterior.
 
     The residual variance is RSS over a chi-square draw with
     ``n_obs - r - 1`` degrees of freedom (``r`` predictors); the
     coefficients are normal around the ridged least-squares solution
-    with covariance ``sigma^2 (X'X + ridge I)^{-1}``.
+    with covariance ``sigma^2 (X'X + ridge I)^{-1}``.  ``gram``, when
+    given, must be ``ridged_gram(x_obs, ridge)`` (up to rounding): a
+    caller that keeps it across draws whose predictors barely change
+    saves its O(n_obs r^2) product.
 
     Raises
     ------
@@ -93,21 +108,22 @@ def draw_linear_params(
         With an "overparameterized imputation model" message when the
         degrees of freedom are not positive.
     """
-    x_obs = np.asarray(x_obs, dtype=float)
+    design = _design(x_obs)
     y_obs = np.asarray(y_obs, dtype=float).ravel()
-    n_obs, r = x_obs.shape
-    df = n_obs - r - 1
+    n_obs, p = design.shape
+    df = n_obs - p
     if df <= 0:
         raise ValueError(
-            f"overparameterized imputation model: {r} predictors with "
+            f"overparameterized imputation model: {p - 1} predictors with "
             f"{n_obs} observed cases leaves {df} degrees of freedom"
         )
-    coefficients, lower = ridged_least_squares(x_obs, y_obs, ridge)
-    design = _design(x_obs)
+    if gram is None:
+        gram = _ridged(design, ridge)
+    coefficients, lower = _solve(design, y_obs, gram)
     residuals = y_obs - design @ coefficients
     rss = float(residuals @ residuals)
     sigma2 = rss / rng.chisquare(df)
-    noise = rng.standard_normal(design.shape[1])
+    noise = rng.standard_normal(p)
     residual_sd = float(np.sqrt(sigma2))
     if residual_sd == 0.0:
         residual_sd = float(np.finfo(float).tiny)
@@ -167,7 +183,9 @@ def nearest_donors(
     contiguous run of that order is ranked (see the module docstring):
     time is O((n_obs + n_mis) log n_obs + n_mis k) and memory
     O(n_obs + n_mis k), except where exact ties at the k-th gap widen a
-    run.
+    run of two or more distinct predictions.  A run of one predicted
+    value (every prediction ties under an intercept-only model) takes
+    its k lowest row indices without ranking.
 
     Raises
     ------
@@ -197,12 +215,19 @@ def nearest_donors(
 
     first = _first_true(within, np.zeros_like(split), split)
     stop = _first_true(lambda positions: ~within(positions), split, np.full_like(split, n_obs))
+    pools = np.empty((pred_mis.shape[0], donors), dtype=order.dtype)
+    # A run of one predicted value ties every gap, and the stable sort kept
+    # its rows in ascending index order: its first k rows are the donors.
+    tied = ranked[first] == ranked[stop - 1]
+    pools[tied] = row_of[first[tied, None] + np.arange(donors)]
+    first, stop, rest = first[~tied], stop[~tied], pred_mis[~tied]
     run = first[:, None] + np.arange((stop - first).max(initial=donors))
     run = np.where(run < stop[:, None], run, n_obs)
-    gaps = np.abs(ranked[run] - pred_mis[:, None])
+    gaps = np.abs(ranked[run] - rest[:, None])
     rows = row_of[run]
     best = np.lexsort((rows, gaps), axis=1)[:, :donors]
-    return np.take_along_axis(rows, best, axis=1)
+    pools[~tied] = np.take_along_axis(rows, best, axis=1)
+    return pools
 
 
 def pmm_impute(
@@ -212,6 +237,7 @@ def pmm_impute(
     rng: np.random.Generator,
     donors: int = DEFAULT_DONORS,
     ridge: float = DEFAULT_RIDGE,
+    gram: np.ndarray | None = None,
 ) -> np.ndarray:
     """Impute by predictive-mean matching against observed outcomes.
 
@@ -220,11 +246,12 @@ def pmm_impute(
     missing row then receives the observed outcome of one donor
     drawn uniformly from its ``donors`` nearest observed rows.  Every
     imputed value is therefore an observed value of the column.
+    ``gram`` passes through to ``draw_linear_params``.
     """
     y_obs = np.asarray(y_obs, dtype=float).ravel()
     x_obs = np.asarray(x_obs, dtype=float)
     x_mis = np.asarray(x_mis, dtype=float)
-    params = draw_linear_params(y_obs, x_obs, rng, ridge)
+    params = draw_linear_params(y_obs, x_obs, rng, ridge, gram)
     pools = nearest_donors(params.mean(x_obs), params.mean(x_mis), donors)
     picks = rng.integers(donors, size=x_mis.shape[0])
     return y_obs[pools[np.arange(x_mis.shape[0]), picks]]

@@ -7,6 +7,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcimpute import engine
 from pcimpute.data import IncompleteData, ROLE_ANALYSIS
@@ -23,7 +25,7 @@ from pcimpute.engine import (
     quickpred_select,
     run_impute,
 )
-from pcimpute.imputers import IMPUTER_KINDS, IMPUTER_PMM
+from pcimpute.imputers import IMPUTER_KINDS, IMPUTER_PMM, draw_linear_params, ridged_gram
 from pcimpute.pca import RunningCorrelation, pca
 from tests.helpers import (
     assert_observed_preserved,
@@ -439,6 +441,83 @@ class TestPrepass:
             rec.message.startswith("pre-pass quickpred selected no predictors for column 'x1'")
             for rec in caplog.records
         )
+
+
+class TestCachedDesign:
+    """Each target's predictors and their Gram, kept on the plan across visits."""
+
+    @staticmethod
+    def _plan(data):
+        # Threshold 0 screens every other column in, in ascending order.
+        return engine._QuickpredPlan(_spec(STRATEGY_QUICKPRED, corr_threshold=0.0), data)
+
+    @settings(max_examples=25)
+    @given(incomplete=st.integers(0, 5), seed=st.integers(0, 2**16))
+    def test_cached_draw_matches_a_fresh_draw(self, incomplete, seed):
+        data = make_incomplete(seed=seed, n_analysis=1 + incomplete, n_mar=0)
+        plan = self._plan(data)
+        rng = np.random.default_rng(seed)
+        working = initialize_fill(data, rng)
+        observed = data.mask[:, 0]
+        y_obs = data.values[observed, 0]
+        for _ in range(3):
+            x_obs, x_mis, gram = engine.build_predictors(plan, working, 0)
+            gathered = working[:, plan.raw[0]]
+            np.testing.assert_array_equal(x_obs, gathered[observed])
+            np.testing.assert_array_equal(x_mis, gathered[~observed])
+            np.testing.assert_allclose(gram, ridged_gram(x_obs), rtol=0, atol=1e-9)
+            cached = draw_linear_params(y_obs, x_obs, np.random.default_rng(1), gram=gram)
+            fresh = draw_linear_params(y_obs, gathered[observed], np.random.default_rng(1))
+            np.testing.assert_allclose(cached.coefficients, fresh.coefficients, rtol=0, atol=1e-9)
+            assert cached.residual_sd == pytest.approx(fresh.residual_sd, rel=0, abs=1e-9)
+            # The other targets' draws move their missing cells between visits.
+            for j in range(1, 1 + incomplete):
+                gap = ~data.mask[:, j]
+                working[gap, j] = rng.standard_normal(int(gap.sum()))
+
+    def test_incomplete_predictor_turning_constant_sits_out_one_visit(self, caplog):
+        data = make_incomplete(seed=91, n_analysis=3)
+        values = data.values.copy()
+        values[data.mask[:, 2], 2] = 1.5  # x3's observed cells are all alike
+        data = IncompleteData(values, data.mask, data.names, data.roles)
+        plan = self._plan(data)
+        working = initialize_fill(data, np.random.default_rng(0))
+        gap = ~data.mask[:, 2]
+        widths = []
+        with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
+            for fill in (1.5, 2.5, 1.5, 0.5):
+                working[gap, 2] = fill
+                working[np.flatnonzero(gap)[0], 2] = 1.5  # constant only when fill is 1.5
+                x_obs, x_mis, gram = engine.build_predictors(plan, working, 0)
+                widths.append(x_obs.shape[1])
+                live = [j for j in plan.raw[0] if np.ptp(working[:, j]) > 0]
+                np.testing.assert_array_equal(x_obs, working[data.mask[:, 0]][:, live])
+                np.testing.assert_array_equal(x_mis, working[~data.mask[:, 0]][:, live])
+                np.testing.assert_allclose(gram, ridged_gram(x_obs), rtol=0, atol=1e-9)
+        assert widths == [4, 5, 4, 5]
+        messages = [rec.message for rec in caplog.records]
+        assert messages == ["dropping constant predictor column(s): x3"]
+
+    def test_constant_complete_predictor_is_checked_once(self, caplog, monkeypatch):
+        data = make_incomplete(seed=93)
+        values = data.values.copy()
+        values[:, 4] = 4.0
+        data = IncompleteData(values, data.mask, data.names, data.roles)
+        checked = []
+        drop = engine._drop_constants
+
+        def record(working, column_ids, plan, spread=None):
+            checked.append(column_ids.tolist())
+            return drop(working, column_ids, plan, spread)
+
+        monkeypatch.setattr(engine, "_drop_constants", record)
+        spec = _spec(STRATEGY_QUICKPRED, corr_threshold=0.0, chains=2, iterations=3)
+        with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
+            run_impute(spec, data)
+        # Once per target (x1 and x2), for the whole run; never again per visit.
+        assert sum(4 in ids for ids in checked) == 2
+        messages = [rec.message for rec in caplog.records]
+        assert messages == ["dropping constant predictor column(s): x5"]
 
 
 def _record_running_pca(monkeypatch):

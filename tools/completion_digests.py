@@ -27,6 +27,17 @@ has no public entry, only the public API is used, so any checkout that
 has ``engine._prepass_complete(spec, data, rng)`` can run it.  Takes
 about a minute.
 
+Two more modes measure a numerical change that is not bit-identical.
+``--save DIR`` writes each case's arrays (a run's completions, trace
+means and component counts; a study's or the CLI's output files only as
+their digest) to ``DIR``; ``--gaps DIR`` reruns every case and prints,
+per case, the largest absolute gap to the saved arrays and the count of
+cells that differ by more than 1e-9 (a digest case prints whether its
+digest matches), and exits 1 if any array case has such a cell:
+
+    PYTHONPATH=../parent/src python tools/completion_digests.py --save saved
+    PYTHONPATH=src python tools/completion_digests.py --gaps saved
+
 Some digests depend on the BLAS thread count (a multithreaded BLAS may
 sum in another order), so the script pins OpenBLAS, OpenMP and MKL to one
 thread before numpy loads, unless the caller has set those variables.
@@ -35,11 +46,14 @@ Compare two checkouts under the same settings.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -53,6 +67,7 @@ from pcimpute import cli, engine  # noqa: E402
 from pcimpute.simulation import write_estimates_csv, write_metrics_csv  # noqa: E402
 
 IMPUTERS = ("bayesian-normal", "pmm")
+TOLERANCE = 1e-9
 
 
 def study_data(n_rows: int, items_per_factor: int, seed: int) -> pcimpute.IncompleteData:
@@ -133,9 +148,11 @@ def run_cases():
                 result = pcimpute.run_impute(spec, wide[p])
                 means = [record.imputed_mean for record in result.trace]
                 info = [result.resolved_components or 0, result.pca_count]
-                yield f"run_impute p={p} q={q} {strategy} {imputer}", digest(
-                    *result.completions, means, info
-                )
+                yield f"run_impute p={p} q={q} {strategy} {imputer}", [
+                    *result.completions,
+                    np.asarray(means),
+                    np.asarray(info),
+                ]
 
     # pmm under heavy ties: intercept-only quickpred models give every row the same
     # predicted mean, and integer-coded columns give few distinct ones.
@@ -153,13 +170,13 @@ def run_cases():
                 **options,
             )
             result = pcimpute.run_impute(spec, data)
-            yield f"run_impute {label} {strategy} pmm", digest(*result.completions)
+            yield f"run_impute {label} {strategy} pmm", result.completions
 
     # The pre-pass alone: its single quickpred chain at threshold 0.3, 5 sweeps.
     for imputer in IMPUTERS:
         spec = pcimpute.ImputationSpec(strategy="quickpred", imputer=imputer, prepass_iterations=5)
         completed = engine._prepass_complete(spec, wide[56], np.random.default_rng(3))
-        yield f"prepass_single_impute {imputer}", digest(completed)
+        yield f"prepass_single_impute {imputer}", [completed]
 
     conditions = [
         pcimpute.SimulationCondition(n_rows=120),
@@ -241,10 +258,61 @@ def run_cases():
         )
 
 
-def main() -> None:
+def gap_report(name: str, saved, value) -> tuple[str, bool]:
+    """One case's line of the gap mode, and whether the case is beyond tolerance."""
+    if isinstance(saved, str) or isinstance(value, str):
+        same = saved == (value if isinstance(value, str) else digest(*value))
+        return f"{name}: digest {'identical' if same else 'differs'}", False
+    shapes = [array.shape for array in saved]
+    if shapes != [np.shape(array) for array in value]:
+        return f"{name}: shapes differ, saved {shapes}", True
+    gaps = np.concatenate(
+        [np.abs(np.asarray(new, dtype=float) - old).ravel() for old, new in zip(saved, value)]
+    )
+    largest = float(gaps.max(initial=0.0))
+    beyond = int((gaps > TOLERANCE).sum())
+    line = f"{name}: largest gap {largest:.3g}, {beyond} of {gaps.size} cells > {TOLERANCE:g}"
+    return line, beyond > 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--save", metavar="DIR", type=Path, help="save each case's arrays to DIR")
+    mode.add_argument("--gaps", metavar="DIR", type=Path, help="report gaps to the arrays in DIR")
+    args = parser.parse_args()
+    if args.save is not None:
+        args.save.mkdir(parents=True, exist_ok=True)
+        index = {}
+        for number, (name, value) in enumerate(run_cases()):
+            if isinstance(value, str):
+                index[name] = {"digest": value}
+            else:
+                index[name] = {"arrays": f"{number:03d}.npz"}
+                arrays = [np.asarray(array, dtype=float) for array in value]
+                np.savez(args.save / index[name]["arrays"], *arrays)
+        (args.save / "index.json").write_text(json.dumps(index, indent=1) + "\n")
+        return 0
+    if args.gaps is not None:
+        index = json.loads((args.gaps / "index.json").read_text())
+        failed = 0
+        for name, value in run_cases():
+            if name not in index:
+                print(f"{name}: not in the saved set", flush=True)
+                continue
+            saved = index[name].get("digest")
+            if saved is None:
+                with np.load(args.gaps / index[name]["arrays"]) as arrays:
+                    saved = [arrays[key] for key in arrays.files]
+            line, beyond = gap_report(name, saved, value)
+            failed += beyond
+            print(line, flush=True)
+        print(f"{failed} case(s) with a cell beyond {TOLERANCE:g}", flush=True)
+        return 1 if failed else 0
     for name, value in run_cases():
-        print(f"{name}: {value}", flush=True)
+        print(f"{name}: {value if isinstance(value, str) else digest(*value)}", flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
