@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DEFAULT_NA_TOKEN, load_csv, write_csv, complete_case_rows
+from .data import DEFAULT_NA_TOKEN, _csv_template, complete_case_rows, load_csv, write_csv
 from .engine import (
     MAX_COMPONENTS,
     PCR_STRATEGIES,
@@ -315,8 +315,12 @@ def cmd_impute(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = out_dir / args.out_prefix
+    # The completions share every observed cell: format those once.
+    template = _csv_template(data.values)
     for index, completion in enumerate(result.completions, start=1):
-        write_csv(f"{prefix}_{index}.csv", completion, data.names, na_token=args.na_token)
+        write_csv(
+            f"{prefix}_{index}.csv", completion, data.names, args.na_token, template=template
+        )
     trace_path = f"{prefix}_trace.csv"
     with open(trace_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")

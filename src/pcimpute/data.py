@@ -11,7 +11,10 @@ known missingness predictors, and the auxiliary columns.
 from __future__ import annotations
 
 import csv
+import io
 import math
+from array import array
+from itertools import islice
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,59 +150,110 @@ def complete_case_rows(data: IncompleteData) -> np.ndarray:
 def load_csv(path, na_token: str = DEFAULT_NA_TOKEN) -> IncompleteData:
     """Read an incomplete dataset from a CSV file.
 
-    The file must be UTF-8 with a header row of unique column names.
-    Cells equal to ``na_token`` are missing; every other cell must parse
-    as a finite float with ``.`` as the decimal separator.  All columns
-    start with the auxiliary role; use ``with_roles`` to reassign.
+    The file must be UTF-8 (a leading byte-order mark is skipped) with a
+    header row of at least two unique column names.  Cells equal to
+    ``na_token`` are missing; every other cell must parse as a finite
+    float with ``.`` as the decimal separator.  All columns start with
+    the auxiliary role; use ``with_roles`` to reassign.  The rows are
+    parsed as they are read, into one flat buffer.
 
     Raises
     ------
     ValueError
-        On an empty file, a ragged row (reported by data-row number), an
-        unparseable or non-finite cell (reported by row and column), or
-        a column with no observed values.
+        On an empty file, a header with fewer than two columns or a
+        repeated name, a ragged row (reported by data-row number), an
+        unparseable or non-finite cell (reported by row and column, the
+        first in row-major order), or a column with no observed values.
+        Every message starts with the path.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        rows = list(reader)
-    if not rows:
+        p = len(header)
+        if p < 2:
+            raise ValueError(f"{path}: the header has {p} column(s); a dataset needs at least two")
+        seen = set()
+        for name in header:
+            if name in seen:
+                raise ValueError(f"{path}: column name {name!r} appears twice in the header")
+            seen.add(name)
+        cells = array("d")
+        append, isfinite, nan = cells.append, math.isfinite, math.nan
+        n = 0
+        for n, row in enumerate(reader, start=1):
+            if len(row) != p:
+                raise ValueError(f"{path}: data row {n} has {len(row)} fields, expected {p}")
+            for cell in row:
+                if cell == na_token:
+                    append(nan)
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    column = header[len(cells) % p]
+                    raise ValueError(
+                        f"{path}: data row {n}, column {column!r}: "
+                        f"cannot parse {cell!r} as a number"
+                    ) from None
+                if not isfinite(value):
+                    column = header[len(cells) % p]
+                    raise ValueError(
+                        f"{path}: data row {n}, column {column!r}: non-finite value {cell!r}"
+                    )
+                append(value)
+    if not n:
         raise ValueError(f"{path}: no data rows")
-    p = len(header)
-    values = np.empty((len(rows), p), dtype=float)
-    mask = np.ones((len(rows), p), dtype=bool)
-    for i, row in enumerate(rows):
-        if len(row) != p:
-            raise ValueError(
-                f"{path}: data row {i + 1} has {len(row)} fields, expected {p}"
-            )
-        for j, cell in enumerate(row):
-            if cell == na_token:
-                values[i, j] = np.nan
-                mask[i, j] = False
-                continue
-            try:
-                parsed = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: data row {i + 1}, column {header[j]!r}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
-            if not np.isfinite(parsed):
-                raise ValueError(
-                    f"{path}: data row {i + 1}, column {header[j]!r}: "
-                    f"non-finite value {cell!r}"
-                )
-            values[i, j] = parsed
+    # A parsed cell is finite, so NaN marks exactly the ``na_token`` cells.
+    values = np.frombuffer(cells, dtype=float).reshape(n, p)
+    mask = ~np.isnan(values)
     empty = np.flatnonzero(~mask.any(axis=0))
     if empty.size:
         raise ValueError(
             f"{path}: column {header[int(empty[0])]!r} has no observed values"
         )
-    return IncompleteData(values=values, mask=mask, names=list(header), roles=[ROLE_AUXILIARY] * p)
+    return IncompleteData(values=values, mask=mask, names=header, roles=[ROLE_AUXILIARY] * p)
+
+
+@dataclass(frozen=True)
+class _CsvTemplate:
+    """A matrix's observed cells, formatted once for every file that shares them.
+
+    ``lines[i]`` is data row i as CSV text with its line ending: finished
+    when the row holds no NaN, otherwise a ``%`` format with one ``%s``
+    slot per NaN cell (the ``repr`` of a finite float holds no ``%``).
+    ``slots[i]`` counts row i's slots, and ``values`` keeps the matrix,
+    so a file written from it can be checked to share its observed cells.
+    """
+
+    values: np.ndarray
+    lines: list[str]
+    slots: list[int]
+
+
+def _csv_template(values: np.ndarray) -> _CsvTemplate:
+    """Format every non-NaN cell of ``values`` once; each NaN cell becomes a slot."""
+    values = np.array(values, dtype=float)
+    lines = [
+        ",".join(["%s" if value != value else repr(value) for value in row]) + "\r\n"
+        for row in values.tolist()
+    ]
+    return _CsvTemplate(values, lines, np.isnan(values).sum(axis=1).tolist())
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it beside other fields in a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[: -len(",\r\n")]
+
+
+def _cell_label(path, cells: np.ndarray, names: list[str]) -> str:
+    """``path``, the data row and the column name of the first True cell of ``cells``."""
+    i, j = (int(k) for k in np.argwhere(cells)[0])
+    return f"{path}: data row {i + 1}, column {names[j]!r}"
 
 
 def write_csv(
@@ -207,14 +261,51 @@ def write_csv(
     values: np.ndarray,
     names: list[str],
     na_token: str = DEFAULT_NA_TOKEN,
+    *,
+    template: _CsvTemplate | None = None,
 ) -> None:
     """Write a float matrix as CSV, rendering NaN cells as ``na_token``.
 
     Floats are written with ``repr`` so a load/write/load cycle
-    reproduces every value bit for bit.
+    reproduces every value bit for bit; a ±inf cell, which ``load_csv``
+    would refuse, raises ValueError naming its row and column.
+
+    ``template`` (from ``_csv_template`` on a matrix that shares every
+    non-NaN cell with ``values``, such as the input of the runs that
+    completed it) supplies those cells already formatted, so only the
+    cells at its slots are formatted here.  Every non-NaN cell of the
+    template must equal the cell of ``values`` bit for bit, or a
+    ValueError names the first that differs.  Without it, the template
+    is built from ``values`` itself.
     """
+    values = np.asarray(values, dtype=float)
+    infinite = np.isinf(values)
+    if infinite.any():
+        raise ValueError(
+            f"{_cell_label(path, infinite, names)}: cannot write non-finite value "
+            f"{values[infinite][0]!r}"
+        )
+    if template is None:
+        template = _csv_template(values)
+    elif template.values.shape != values.shape:
+        raise ValueError(
+            f"{path}: matrix of shape {values.shape} does not match the template's "
+            f"{template.values.shape}"
+        )
+    slot = np.isnan(template.values)
+    changed = (values.view(np.uint64) != template.values.view(np.uint64)) & ~slot
+    if changed.any():
+        raise ValueError(
+            f"{_cell_label(path, changed, names)}: observed cell {values[changed][0]!r} "
+            f"differs from the template's {template.values[changed][0]!r}"
+        )
+    token = _csv_field(na_token)
+    if values.shape[1] == 1 and not token:
+        token = '""'  # csv.writer quotes a lone empty field, so the row is not blank
+    fills = iter([token if value != value else repr(value) for value in values[slot].tolist()])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(names))
-        for row in np.asarray(values, dtype=float).tolist():
-            writer.writerow([na_token if math.isnan(value) else repr(value) for value in row])
+        csv.writer(handle).writerow(list(names))
+        handle.writelines(
+            line % tuple(islice(fills, count)) if count else line
+            for line, count in zip(template.lines, template.slots)
+        )

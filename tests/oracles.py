@@ -7,10 +7,13 @@ the package against routes that share none of its code paths.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 from scipy import stats
+
+from pcimpute.data import ROLE_AUXILIARY, IncompleteData
 
 
 def jacobi_eigh(matrix, tol=1e-12, max_sweeps=200):
@@ -229,3 +232,62 @@ def nearest_donors_full_sort(pred_obs, pred_mis, donors):
     pred_mis = np.asarray(pred_mis, dtype=float)
     gaps = np.abs(pred_obs[None, :] - pred_mis[:, None])
     return np.argsort(gaps, axis=1, kind="stable")[:, :donors]
+
+
+def load_csv_reference(path, na_token="NA"):
+    """The earlier ``load_csv``: the whole file read into a list, then numpy cell by cell.
+
+    Kept to pin the messages and their row-major order.  It knows nothing
+    of a byte-order mark, and a bad header reaches the container's
+    unlabelled message.
+    """
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        rows = list(reader)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    p = len(header)
+    values = np.empty((len(rows), p), dtype=float)
+    mask = np.ones((len(rows), p), dtype=bool)
+    for i, row in enumerate(rows):
+        if len(row) != p:
+            raise ValueError(
+                f"{path}: data row {i + 1} has {len(row)} fields, expected {p}"
+            )
+        for j, cell in enumerate(row):
+            if cell == na_token:
+                values[i, j] = np.nan
+                mask[i, j] = False
+                continue
+            try:
+                parsed = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: data row {i + 1}, column {header[j]!r}: "
+                    f"cannot parse {cell!r} as a number"
+                ) from None
+            if not np.isfinite(parsed):
+                raise ValueError(
+                    f"{path}: data row {i + 1}, column {header[j]!r}: "
+                    f"non-finite value {cell!r}"
+                )
+            values[i, j] = parsed
+    empty = np.flatnonzero(~mask.any(axis=0))
+    if empty.size:
+        raise ValueError(
+            f"{path}: column {header[int(empty[0])]!r} has no observed values"
+        )
+    return IncompleteData(values=values, mask=mask, names=list(header), roles=[ROLE_AUXILIARY] * p)
+
+
+def write_csv_reference(path, values, names, na_token="NA"):
+    """The earlier ``write_csv``: every cell through ``repr`` and ``csv.writer``."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(list(names))
+        for row in np.asarray(values, dtype=float).tolist():
+            writer.writerow([na_token if math.isnan(value) else repr(value) for value in row])

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcimpute.data import (
@@ -12,10 +14,33 @@ from pcimpute.data import (
     ROLE_ANALYSIS,
     ROLE_AUXILIARY,
     complete_case_rows,
+    _csv_template,
     load_csv,
     write_csv,
 )
-from tests.oracles import complete_rows_scan
+from tests.oracles import complete_rows_scan, load_csv_reference, write_csv_reference
+
+
+_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 3.0, -7.0, 2.0**60, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _completion_cases(draw):
+    """A source matrix with NaN gaps and a completion of it.
+
+    Each cell is observed in both, imputed (NaN in the source only) or
+    left missing in both; rows with and without gaps both occur.
+    """
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    size = n_rows * n_cols
+    cells = np.array(draw(st.lists(_CELLS, min_size=size, max_size=size)))
+    kinds = np.array(draw(st.lists(st.sampled_from("oim"), min_size=size, max_size=size)))
+    source = np.where(kinds == "o", cells, np.nan).reshape(n_rows, n_cols)
+    completion = np.where(kinds == "m", np.nan, cells).reshape(n_rows, n_cols)
+    return source, completion
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -130,7 +155,7 @@ class TestCsv:
         seed=st.integers(0, 10_000),
         n_rows=st.integers(1, 12),
         n_cols=st.integers(2, 5),
-        na_token=st.sampled_from(["NA", "?", "miss"]),
+        na_token=st.sampled_from(["NA", "?", "miss", "", "a,b"]),
     )
     def test_round_trip_is_bitwise(self, tmp_path_factory, seed, n_rows, n_cols, na_token):
         rng = np.random.default_rng(seed)
@@ -146,3 +171,71 @@ class TestCsv:
             back.values[back.mask], data.values[data.mask]
         )
         assert back.names == data.names
+
+    def test_duplicate_header_name_is_labelled(self, tmp_path):
+        path = _write(tmp_path, "a,b,a\n1,2,3\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: column name 'a' appears twice")):
+            load_csv(path)
+
+    def test_one_column_header_is_labelled(self, tmp_path):
+        path = _write(tmp_path, "a\n1\n2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: the header has 1 column(s)")):
+            load_csv(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1.5,NA\n2,3\n")
+        data = load_csv(path)
+        assert data.names == ["a", "b"]
+        out = tmp_path / "out.csv"
+        write_csv(out, data.values, data.names)
+        assert out.read_bytes() == b"a,b\r\n1.5,NA\r\n2.0,3.0\r\n"
+
+    def test_write_refuses_infinite_cell(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: data row 2, column 'b'")):
+            write_csv(path, np.array([[1.0, 2.0], [3.0, -np.inf]]), ["a", "b"])
+        assert not path.exists()
+
+    def test_write_refuses_changed_observed_cell(self, tmp_path):
+        source = np.array([[1.0, np.nan], [0.0, 2.0]])
+        completion = np.array([[1.0, 4.0], [-0.0, 2.0]])
+        path = tmp_path / "changed.csv"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: data row 2, column 'a'")):
+            write_csv(path, completion, ["a", "b"], template=_csv_template(source))
+        assert not path.exists()
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_completion_cases(), na_token=st.sampled_from(["", "a,b", 'say "x"', "NA"]))
+    @example(case=(np.array([[np.nan], [1.0]]), np.array([[np.nan], [1.0]])), na_token="")
+    def test_write_bytes_match_reference(self, tmp_path_factory, case, na_token):
+        source, completion = case
+        names = [f"c{j}" for j in range(source.shape[1])]
+        out = tmp_path_factory.mktemp("bytes")
+        write_csv_reference(out / "reference.csv", completion, names, na_token)
+        write_csv(out / "plain.csv", completion, names, na_token)
+        write_csv(out / "template.csv", completion, names, na_token, template=_csv_template(source))
+        expected = (out / "reference.csv").read_bytes()
+        assert (out / "plain.csv").read_bytes() == expected
+        assert (out / "template.csv").read_bytes() == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.sampled_from(["1.5", "-0.0", "NA", "oops", "inf", "nan", "1e999"]), min_size=2, max_size=4),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_load_faults_match_reference(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("faults") / "f.csv"
+        path.write_text("a,b,c\n" + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        outcomes = []
+        for load in (load_csv, load_csv_reference):
+            try:
+                data = load(path)
+            except ValueError as err:
+                outcomes.append(str(err))
+            else:
+                outcomes.append((data.values.tobytes(), data.mask.tobytes(), data.names))
+        assert outcomes[0] == outcomes[1]
