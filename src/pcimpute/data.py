@@ -15,7 +15,7 @@ import io
 import math
 from array import array
 from itertools import islice
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -226,11 +226,15 @@ class _CsvTemplate:
     slot per NaN cell (the ``repr`` of a finite float holds no ``%``).
     ``slots[i]`` counts row i's slots, and ``values`` keeps the matrix,
     so a file written from it can be checked to share its observed cells.
+    ``token_cells`` keeps, per ``na_token`` checked so far, the flat index
+    of the first non-NaN cell whose ``repr`` is that token (empty when
+    none is), so the files of one run check their shared cells once.
     """
 
     values: np.ndarray
     lines: list[str]
     slots: list[int]
+    token_cells: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _csv_template(values: np.ndarray) -> _CsvTemplate:
@@ -248,6 +252,17 @@ def _csv_field(text: str) -> str:
     buffer = io.StringIO()
     csv.writer(buffer).writerow([text, ""])
     return buffer.getvalue()[: -len(",\r\n")]
+
+
+def _token_bits(na_token: str) -> np.uint64 | None:
+    """The bits of the finite float whose ``repr`` is ``na_token``, or None if there is none."""
+    try:
+        value = float(na_token)
+    except ValueError:
+        return None
+    if not math.isfinite(value) or repr(value) != na_token:
+        return None
+    return np.array(value).view(np.uint64)[()]
 
 
 def _cell_label(path, cells: np.ndarray, names: list[str]) -> str:
@@ -277,8 +292,18 @@ def write_csv(
     template must equal the cell of ``values`` bit for bit, or a
     ValueError names the first that differs.  Without it, the template
     is built from ``values`` itself.
+
+    A ValueError is also raised, before the file is opened, when
+    ``names`` does not hold one name per column, or when ``na_token`` is
+    the ``repr`` of a cell to be written (``"0.0"`` against a 0.0 cell),
+    which would read back as missing; a token such as ``"-999"`` is no
+    float's ``repr``.  With a template, its cells are checked once.
     """
     values = np.asarray(values, dtype=float)
+    if len(names) != values.shape[1]:
+        raise ValueError(
+            f"{path}: {len(names)} column names for a matrix of {values.shape[1]} columns"
+        )
     infinite = np.isinf(values)
     if infinite.any():
         raise ValueError(
@@ -299,6 +324,20 @@ def write_csv(
             f"{_cell_label(path, changed, names)}: observed cell {values[changed][0]!r} "
             f"differs from the template's {template.values[changed][0]!r}"
         )
+    bits = _token_bits(na_token)
+    if bits is not None:
+        if na_token not in template.token_cells:
+            shared = np.flatnonzero(template.values.view(np.uint64) == bits)
+            template.token_cells[na_token] = shared[:1]
+        filled = np.flatnonzero(slot)[values[slot].view(np.uint64) == bits]
+        hits = np.concatenate([template.token_cells[na_token], filled[:1]])
+        if hits.size:
+            cells = np.zeros(values.shape, dtype=bool)
+            cells.flat[hits.min()] = True
+            raise ValueError(
+                f"{_cell_label(path, cells, names)}: na_token {na_token!r} is the text of "
+                "this cell, which would read back as missing"
+            )
     token = _csv_field(na_token)
     if values.shape[1] == 1 and not token:
         token = '""'  # csv.writer quotes a lone empty field, so the row is not blank

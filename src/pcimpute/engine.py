@@ -215,34 +215,51 @@ def initialize_fill(data: IncompleteData, rng: np.random.Generator) -> np.ndarra
     return working
 
 
+def _abs_correlations(a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per row k, the absolute correlation of ``a[k]`` and ``b`` on the cells of ``rows[k]``.
+
+    ``a`` and ``rows`` are (p, n), ``b`` is (p, n) or (n,).  Both sides are
+    centred on their means over the rows, and the centred cells summed in
+    a second pass, as ``np.std`` does.  A row with fewer than two cells, or
+    with a side that is constant on them (no cell differs from the first),
+    counts 0.0.
+    """
+    weight = rows.astype(float)
+    count = weight.sum(axis=1)
+    first = rows.argmax(axis=1)[:, None]
+    live = count >= 2.0
+    centred = []
+    for side in (a, b):
+        side = np.where(rows, side, 0.0)
+        live &= (rows & (side != np.take_along_axis(side, first, axis=1))).any(axis=1)
+        side -= (side.sum(axis=1) / np.maximum(count, 1.0))[:, None]
+        side *= weight
+        centred.append(side)
+    da, db = centred
+    saa, sbb, sab = (np.einsum("ij,ij->i", u, v) for u, v in ((da, da), (db, db), (da, db)))
+    live &= (saa > 0.0) & (sbb > 0.0)
+    # sqrt of each side, so the product of the two sums cannot overflow.
+    scale = np.sqrt(np.where(live, saa, 1.0)) * np.sqrt(np.where(live, sbb, 1.0))
+    return np.where(live, np.abs(sab / scale), 0.0)
+
+
 def _pairwise_select(values: np.ndarray, mask: np.ndarray, target: int) -> np.ndarray:
     """Quickpred screening strength of every column for one target.
 
     A candidate's strength is the larger of its absolute correlations with
-    the target and with the target's missingness indicator, on the
-    original incomplete matrix.  The target's own entry is ``-inf``.
+    the target, on the rows where both are observed, and with the target's
+    missingness indicator, on the candidate's observed rows; both use the
+    original incomplete matrix, every column at once.  The target's own
+    entry is ``-inf``.
     """
-
-    def safe_corr(a: np.ndarray, b: np.ndarray) -> float:
-        if a.size < 2:
-            return 0.0
-        sa = a.std()
-        sb = b.std()
-        if sa == 0.0 or sb == 0.0:
-            return 0.0
-        return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
-
+    # Columns as rows, so each sum runs along contiguous memory.
+    columns, observed = np.ascontiguousarray(values.T), np.ascontiguousarray(mask.T)
     target_mask = mask[:, target]
-    indicator = (~target_mask).astype(float)
-    strength = np.full(values.shape[1], -np.inf)
-    for k in range(values.shape[1]):
-        if k == target:
-            continue
-        both = mask[:, k] & target_mask
-        r_value = safe_corr(values[both, k], values[both, target])
-        rows_k = mask[:, k]
-        r_indicator = safe_corr(values[rows_k, k], indicator[rows_k])
-        strength[k] = max(abs(r_value), abs(r_indicator))
+    strength = np.maximum(
+        _abs_correlations(columns, values[:, target], observed & target_mask),
+        _abs_correlations(columns, (~target_mask).astype(float), observed),
+    )
+    strength[target] = -np.inf
     return strength
 
 
@@ -541,7 +558,8 @@ def build_predictors(
     if design is None:
         design = plan.designs[target] = _Design(plan, target)
     moving = design.columns[design.moving]
-    dead = design.moving[~np.isin(moving, _drop_constants(working, moving, plan))]
+    live = _drop_constants(working, moving, plan)
+    dead = _NO_COLUMNS if live.size == moving.size else design.moving[~np.isin(moving, live)]
     design.fill(plan, working, plan.scores(working, target, state))
     if dead.size == 0:
         return design.x_obs, design.x_mis, design.gram

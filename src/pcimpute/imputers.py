@@ -71,7 +71,11 @@ def _solve(design: np.ndarray, y: np.ndarray, gram: np.ndarray):
     if not (np.isfinite(design).all() and np.isfinite(y).all()):
         raise ValueError("design and outcome must be finite")
     lower = np.linalg.cholesky(gram)
-    coefficients = cho_solve((lower, True), design.T @ y)
+    # The design and outcome are finite, so a non-finite factor or solution
+    # can only come from products that overflowed; one O(r) check covers both.
+    coefficients = cho_solve((lower, True), design.T @ y, check_finite=False)
+    if not np.isfinite(coefficients).all():
+        raise ValueError("non-finite regression coefficients: X'X or X'y overflowed")
     return coefficients, lower
 
 
@@ -106,7 +110,9 @@ def draw_linear_params(
     ------
     ValueError
         With an "overparameterized imputation model" message when the
-        degrees of freedom are not positive.
+        degrees of freedom are not positive, and with a "non-finite
+        regression coefficients" message when ``X'X`` or ``X'y``
+        overflowed.
     """
     design = _design(x_obs)
     y_obs = np.asarray(y_obs, dtype=float).ravel()
@@ -127,7 +133,8 @@ def draw_linear_params(
     residual_sd = float(np.sqrt(sigma2))
     if residual_sd == 0.0:
         residual_sd = float(np.finfo(float).tiny)
-    drawn = coefficients + residual_sd * solve_triangular(lower.T, noise, lower=False)
+    shift = solve_triangular(lower.T, noise, lower=False, check_finite=False)
+    drawn = coefficients + residual_sd * shift
     return LinearModelDraw(coefficients=drawn, residual_sd=residual_sd)
 
 

@@ -188,7 +188,7 @@ def _running_components(
 ) -> PcaResult:
     key = columns.tobytes()
     previous = running.solved.get(key)
-    corr = running.correlation[np.ix_(columns, columns)]
+    corr = running.correlation.take(columns, axis=0).take(columns, axis=1)
     solved = None
     if _warm_start_fits(previous, columns.size, n_components):
         solved = _warm_leading_eigh(corr, previous)

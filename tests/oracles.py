@@ -291,3 +291,31 @@ def write_csv_reference(path, values, names, na_token="NA"):
         writer.writerow(list(names))
         for row in np.asarray(values, dtype=float).tolist():
             writer.writerow([na_token if math.isnan(value) else repr(value) for value in row])
+
+
+def pairwise_select_reference(values, mask, target):
+    """The earlier quickpred screen: a loop over the columns, two ``np.std``-style
+    correlations each (on the pairwise rows, and with the target's missingness
+    indicator on the candidate's rows), degenerate ones counting zero."""
+
+    def safe_corr(a, b):
+        if a.size < 2:
+            return 0.0
+        sa = a.std()
+        sb = b.std()
+        if sa == 0.0 or sb == 0.0:
+            return 0.0
+        return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
+
+    target_mask = mask[:, target]
+    indicator = (~target_mask).astype(float)
+    strength = np.full(values.shape[1], -np.inf)
+    for k in range(values.shape[1]):
+        if k == target:
+            continue
+        both = mask[:, k] & target_mask
+        r_value = safe_corr(values[both, k], values[both, target])
+        rows_k = mask[:, k]
+        r_indicator = safe_corr(values[rows_k, k], indicator[rows_k])
+        strength[k] = max(abs(r_value), abs(r_indicator))
+    return strength

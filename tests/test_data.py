@@ -205,6 +205,41 @@ class TestCsv:
             write_csv(path, completion, ["a", "b"], template=_csv_template(source))
         assert not path.exists()
 
+    def test_write_refuses_token_that_is_a_cell_text(self, tmp_path):
+        # Written as "0.0", cell (1, a) would read back as missing.
+        path = tmp_path / "token.csv"
+        values = [[0.0, 1.0], [2.0, 3.0]]
+        message = f"{path}: data row 1, column 'a': na_token '0.0' is the text of this cell"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_csv(path, values, ["a", "b"], na_token="0.0")
+        assert not path.exists()
+        # -999 is no float's repr, so it stays a usable sentinel; -0.0 is not 0.0.
+        for token in ("-999", "-0.0"):
+            write_csv(path, [[0.0, np.nan], [2.0, 3.0]], ["a", "b"], na_token=token)
+            back = load_csv(path, na_token=token)
+            np.testing.assert_array_equal(back.mask, [[True, False], [True, True]])
+
+    def test_template_token_check_covers_shared_and_imputed_cells(self, tmp_path):
+        template = _csv_template(np.array([[np.nan, 1.0], [2.0, 5.0]]))
+        names = ["a", "b"]
+        write_csv(tmp_path / "ok.csv", [[4.0, 1.0], [2.0, 5.0]], names, "0.0", template=template)
+        # The shared cells were checked once, for this token, and kept no hit.
+        assert list(template.token_cells) == ["0.0"] and template.token_cells["0.0"].size == 0
+        path = tmp_path / "imputed.csv"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: data row 1, column 'a'")):
+            write_csv(path, [[0.0, 1.0], [2.0, 5.0]], names, "0.0", template=template)
+        path = tmp_path / "shared.csv"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: data row 2, column 'b'")):
+            write_csv(path, [[4.0, 1.0], [2.0, 5.0]], names, "5.0", template=template)
+        assert not path.exists()
+
+    def test_write_refuses_name_count_mismatch(self, tmp_path):
+        path = tmp_path / "names.csv"
+        message = f"{path}: 2 column names for a matrix of 3 columns"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_csv(path, np.ones((2, 3)), ["a", "b"])
+        assert not path.exists()
+
     @settings(max_examples=80, deadline=None)
     @given(case=_completion_cases(), na_token=st.sampled_from(["", "a,b", 'say "x"', "NA"]))
     @example(case=(np.array([[np.nan], [1.0]]), np.array([[np.nan], [1.0]])), na_token="")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from tests.helpers import (
     make_incomplete,
     study_dataset,
 )
+from tests.oracles import pairwise_select_reference
 
 
 def _spec(strategy, **kwargs):
@@ -157,6 +159,127 @@ class TestQuickpredSelect:
             quickpred_select(data, 0, threshold=-0.1)
 
 
+SCREEN_KINDS = ("normal", "normal", "constant", "pairwise-constant", "offset", "sparse", "copy")
+SCREEN_THRESHOLDS = (0.0, 0.1, 0.3, 1.0)
+SCREEN_TOLERANCE = 1e-12
+
+
+@st.composite
+def screen_cases(draw):
+    """A matrix, its mask and a target for the quickpred screen, degenerate pairs included."""
+    n_rows = draw(st.integers(1, 30))
+    n_cols = draw(st.integers(2, 12))
+    kinds = draw(st.lists(st.sampled_from(SCREEN_KINDS), min_size=n_cols, max_size=n_cols))
+    target = draw(st.integers(0, n_cols - 1))
+    # A share of 0.0 leaves the target fully observed: its indicator is constant.
+    target_missing = draw(st.sampled_from((0.0, 0.3, 0.7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    common = rng.standard_normal((n_rows, 1))
+    values = 0.8 * common + 0.6 * rng.standard_normal((n_rows, n_cols))
+    mask = rng.random((n_rows, n_cols)) >= rng.choice((0.0, 0.2, 0.5), size=n_cols)
+    mask[:, target] = rng.random(n_rows) >= target_missing
+    for j, kind in enumerate(kinds):
+        if j == target and kind in ("pairwise-constant", "sparse"):
+            continue
+        if kind == "constant":
+            values[:, j] = 0.1  # not dyadic, so a mean of its cells may round
+        elif kind == "pairwise-constant":
+            values[mask[:, target], j] = 2.7  # constant where the target is observed only
+        elif kind == "offset":
+            values[:, j] = 1e6 + 10.0 ** rng.uniform(-3, 3) * values[:, j]
+        elif kind == "sparse":
+            mask[:, j] = False
+            mask[rng.choice(n_rows, size=min(n_rows, rng.integers(0, 3)), replace=False), j] = True
+        elif kind == "copy":
+            values[:, j] = values[:, target]
+    values[~mask] = np.nan
+    return values, mask, target
+
+
+def _loop_rounds(values, mask, target, k):
+    """Whether the loop takes a nonzero ``std`` of a side constant on its rows for candidate ``k``.
+
+    Its mean of the constant cells rounded, so the loop scores rounding
+    noise there: about 1e-16 against a varying side, and 1.0 when both
+    sides are constant.
+    """
+    observed = mask[:, target]
+    for rows, other in ((mask[:, k] & observed, values[:, target]), (mask[:, k], ~observed)):
+        if rows.sum() >= 2:
+            for side in (values[rows, k], other[rows].astype(float)):
+                if np.ptp(side) == 0.0 and side.std() != 0.0:
+                    return True
+    return False
+
+
+def _assert_screen_matches_reference(values, mask, target):
+    """The screen against the loop oracle; returns the largest strength gap."""
+    strength = engine._pairwise_select(values, mask, target)
+    reference = pairwise_select_reference(values, mask, target)
+    np.testing.assert_array_equal(np.isneginf(strength), np.isneginf(reference))
+    assert np.all(strength[reference == 0.0] == 0.0)
+    rounds = np.array([_loop_rounds(values, mask, target, k) for k in range(values.shape[1])])
+    # Where the loop scored rounding noise, it can only have raised the strength.
+    assert np.all(strength[rounds] <= reference[rounds] + SCREEN_TOLERANCE)
+    scored = ~np.isneginf(reference) & ~rounds
+    gap = float(np.abs(strength[scored] - reference[scored]).max(initial=0.0))
+    assert gap <= SCREEN_TOLERANCE
+    for threshold in SCREEN_THRESHOLDS:
+        clear = scored & (np.abs(reference - threshold) > SCREEN_TOLERANCE)
+        np.testing.assert_array_equal(
+            np.flatnonzero(clear & (strength >= threshold)),
+            np.flatnonzero(clear & (reference >= threshold)),
+        )
+    return gap
+
+
+class TestPairwiseScreen:
+    """``engine._pairwise_select`` as masked column reductions, against the earlier loop.
+
+    Every zero of the loop is a zero here and the other strengths agree
+    within 1e-12, so the selections agree at thresholds 0, 0.1, 0.3 and 1
+    (a strength within 1e-12 of the threshold is skipped).  Here a side
+    that is constant on its rows counts exactly 0.0.  The loop took
+    ``std`` around the mean of such a side, which can round (0.1 in most
+    counts of cells), and then scored noise; those candidates are only
+    checked not to exceed the loop's strength.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=screen_cases())
+    def test_matches_loop_reference(self, case):
+        _assert_screen_matches_reference(*case)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-3, 1e3, 1e100])
+    def test_extreme_scales_match_loop_reference(self, scale):
+        # Each sum of squares is finite, but the product of two would leave the range.
+        data = make_incomplete(seed=4)
+        _assert_screen_matches_reference(data.values * scale, data.mask, 0)
+
+    def test_constant_side_counts_exactly_zero(self):
+        rng = np.random.default_rng(8)
+        values = np.column_stack([rng.standard_normal(15), np.full(15, 0.1), np.full(15, 0.1)])
+        values[:3, :] = np.nan
+        mask = ~np.isnan(values)
+        # The mean of 12 cells of 0.1 rounds, so the loop scored a constant
+        # column about 1e-16 against x1, and 1.0 against the constant x3.
+        assert 0.0 < pairwise_select_reference(values, mask, 0)[1] < 1e-15
+        assert pairwise_select_reference(values, mask, 2)[1] == 1.0
+        np.testing.assert_array_equal(engine._pairwise_select(values, mask, 0)[1:], [0.0, 0.0])
+        assert engine._pairwise_select(values, mask, 2)[1] == 0.0
+
+    def test_target_entry_and_few_rows(self):
+        values = np.array(
+            [[1.0, np.nan, 5.0], [np.nan, 3.0, np.nan], [2.0, np.nan, 4.0], [np.nan, 7.0, 6.0]]
+        )
+        strength = engine._pairwise_select(values, ~np.isnan(values), 0)
+        assert strength[0] == -np.inf
+        # x2 is observed only where x1 is missing: no pairwise row, and a
+        # constant indicator on its own rows.
+        assert strength[1] == 0.0
+        assert strength[2] > 0.0
+
+
 class TestDfBudgetCap:
     """The quickpred screen keeps at most observed cases - 2 predictors per target."""
 
@@ -256,6 +379,20 @@ class TestRunImputeContracts:
             run_impute(_spec(STRATEGY_ORACLE), data)
         with pytest.raises(ValueError, match="overparameterized"):
             run_impute(_spec(STRATEGY_ORACLE), data)
+
+    @pytest.mark.parametrize("imputer", IMPUTER_KINDS)
+    def test_overflowing_gram_is_named(self, imputer):
+        # A predictor near 1e160 squares past the float range: the Gram and its
+        # Cholesky factor are not finite, and both imputers say so in one message.
+        rng = np.random.default_rng(29)
+        values = rng.standard_normal((40, 3))
+        values[:, 2] = 1e160 * (1.0 + values[:, 0])
+        values[rng.random(40) < 0.3, 0] = np.nan
+        data = IncompleteData.from_matrix(values)
+        message = "chain 0, iteration 1, column 'x1': non-finite regression coefficients: "
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=re.escape(message + "X'X or X'y overflowed")):
+                run_impute(_spec(STRATEGY_QUICKPRED, imputer=imputer, corr_threshold=0.0), data)
 
 
 class TestStrategySpecifics:

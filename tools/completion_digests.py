@@ -10,7 +10,9 @@ Cases: every strategy with both imputers on seeded study data at p = 56
 (q = 7 and q = "max") and p = 242 (q = 7); the fixed-score strategies
 on p = 56 data with auxiliary columns missing too (so the pre-pass has
 work in both blocks), on a two-column dataset (a one-column pre-pass
-block) and, with pcr-vbv, on p = 56 data with a constant column; pmm
+block) and, with pcr-vbv, on p = 56 data with a constant column;
+quickpred and pcr-all on p = 56 data with every column shifted by 1e6
+(the quickpred screen must centre each correlation in two passes); pmm
 where donor ties are heavy (intercept-only quickpred models, so every
 prediction ties, and every strategy on columns coded 1..3);
 the pre-pass alone (``engine._prepass_complete``, under the label of the
@@ -131,10 +133,15 @@ def run_cases():
     wide["56-constant"] = pcimpute.IncompleteData(
         constant, wide[56].mask, wide[56].names, wide[56].roles
     )
+    # Every column shifted by 1e6: the screen's correlations must centre in two passes.
+    wide["56-shifted"] = pcimpute.IncompleteData(
+        wide[56].values + 1e6, wide[56].mask, wide[56].names, wide[56].roles
+    )
     fixed = ("pcr-all", "pcr-aux")
     cases = [(56, 7, pcimpute.STRATEGIES), (56, "max", pcimpute.STRATEGIES)]
     cases += [(242, 7, pcimpute.STRATEGIES), ("56-aux-gaps", 7, fixed), ("2", 1, fixed)]
     cases += [("56-constant", 7, ("pcr-vbv", *fixed))]
+    cases += [("56-shifted", 7, ("quickpred", "pcr-all"))]
     for p, q, strategies in cases:
         for strategy in strategies:
             for imputer in IMPUTERS:
