@@ -308,7 +308,7 @@ def write_csv(
     if infinite.any():
         raise ValueError(
             f"{_cell_label(path, infinite, names)}: cannot write non-finite value "
-            f"{values[infinite][0]!r}"
+            f"{float(values[infinite][0])!r}"
         )
     if template is None:
         template = _csv_template(values)
@@ -321,8 +321,8 @@ def write_csv(
     changed = (values.view(np.uint64) != template.values.view(np.uint64)) & ~slot
     if changed.any():
         raise ValueError(
-            f"{_cell_label(path, changed, names)}: observed cell {values[changed][0]!r} "
-            f"differs from the template's {template.values[changed][0]!r}"
+            f"{_cell_label(path, changed, names)}: observed cell {float(values[changed][0])!r} "
+            f"differs from the template's {float(template.values[changed][0])!r}"
         )
     bits = _token_bits(na_token)
     if bits is not None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 IMPUTER_BAYES = "bayesian-normal"
 IMPUTER_PMM = "pmm"
@@ -70,10 +70,21 @@ def _solve(design: np.ndarray, y: np.ndarray, gram: np.ndarray):
         raise ValueError("predictor and outcome row counts differ")
     if not (np.isfinite(design).all() and np.isfinite(y).all()):
         raise ValueError("design and outcome must be finite")
-    lower = np.linalg.cholesky(gram)
+    # LAPACK reads the lower triangle of the C-order Gram (f2py copies it to
+    # Fortran order).  Passing ``gram.T`` would skip the copy but read the
+    # upper triangle, and a Gram refreshed in place need not be bitwise
+    # symmetric.  ``clean`` zeroes the factor above its diagonal.
+    lower, info = dpotrf(gram, lower=1, clean=1)
+    if info != 0:
+        # ``info`` is the order of the first leading minor that is not positive.
+        if not np.isfinite(gram).all():
+            raise ValueError("non-finite regression coefficients: X'X or X'y overflowed")
+        raise np.linalg.LinAlgError(
+            f"ridged Gram is not positive definite (leading minor {info} of {gram.shape[0]})"
+        )
     # The design and outcome are finite, so a non-finite factor or solution
     # can only come from products that overflowed; one O(r) check covers both.
-    coefficients = cho_solve((lower, True), design.T @ y, check_finite=False)
+    coefficients, _ = dpotrs(lower, design.T @ y, lower=1)
     if not np.isfinite(coefficients).all():
         raise ValueError("non-finite regression coefficients: X'X or X'y overflowed")
     return coefficients, lower
@@ -83,7 +94,7 @@ def ridged_least_squares(x: np.ndarray, y: np.ndarray, ridge: float = DEFAULT_RI
     """Solve the ridge-stabilized normal equations for ``y ~ 1 + x``.
 
     Returns ``(coefficients, cholesky_factor)`` where the factor is the
-    lower Cholesky triangle of ``ridged_gram(x, ridge)``.
+    lower Cholesky triangle of ``ridged_gram(x, ridge)``, zero above it.
     """
     design = _design(x)
     return _solve(design, np.asarray(y, dtype=float).ravel(), _ridged(design, ridge))
@@ -113,6 +124,9 @@ def draw_linear_params(
         degrees of freedom are not positive, and with a "non-finite
         regression coefficients" message when ``X'X`` or ``X'y``
         overflowed.
+    numpy.linalg.LinAlgError
+        A ``ValueError`` too, naming the leading minor at which the
+        ridged Gram is not positive definite.
     """
     design = _design(x_obs)
     y_obs = np.asarray(y_obs, dtype=float).ravel()
@@ -133,7 +147,7 @@ def draw_linear_params(
     residual_sd = float(np.sqrt(sigma2))
     if residual_sd == 0.0:
         residual_sd = float(np.finfo(float).tiny)
-    shift = solve_triangular(lower.T, noise, lower=False, check_finite=False)
+    shift, _ = dtrtrs(lower, noise, lower=1, trans=1)
     drawn = coefficients + residual_sd * shift
     return LinearModelDraw(coefficients=drawn, residual_sd=residual_sd)
 

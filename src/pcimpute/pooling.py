@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import stdtrit
 
 # Each kind's short tag (as in ``corr(x1,x2)``) and column count; the
 # column count is also the complete-data degrees of freedom it uses up.
@@ -168,6 +167,9 @@ def rubin_pool(estimates, variances, kind: str, n_rows: int) -> PooledEstimate:
         df_old = (m - 1) / lam**2
         df_obs = (df_complete + 1.0) / (df_complete + 3.0) * df_complete * (1.0 - lam)
         df = df_old * df_obs / (df_old + df_obs)
+    # Imported here, not at module level: `pcimpute impute` never pools.
+    from scipy.special import stdtrit
+
     half = float(stdtrit(df, 0.975)) * math.sqrt(total)
     estimate, lower, upper = qbar, qbar - half, qbar + half
     if kind == "correlation":

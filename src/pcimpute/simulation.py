@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.special import expit
 
 from .data import ROLE_ANALYSIS, ROLE_AUXILIARY, ROLE_MAR, IncompleteData
 from .engine import (
@@ -189,6 +188,14 @@ def coarsen(values: np.ndarray, roles: list[str], categories: int | None) -> np.
     return out
 
 
+def _expit(x):
+    """scipy's logistic function; ``scipy.special`` loads on first use, so the
+    file workflow, which never simulates, does not import it."""
+    from scipy.special import expit
+
+    return expit(x)
+
+
 def calibrate_intercept(
     linear_scores: np.ndarray,
     target_proportion: float,
@@ -205,14 +212,14 @@ def calibrate_intercept(
     if not 0.0 < target_proportion < 1.0:
         raise ValueError("target proportion must lie strictly between 0 and 1")
     lower, upper = -60.0, 60.0
-    while float(expit(lower + scores).mean()) > target_proportion:
+    while float(_expit(lower + scores).mean()) > target_proportion:
         lower *= 2.0
-    while float(expit(upper + scores).mean()) < target_proportion:
+    while float(_expit(upper + scores).mean()) < target_proportion:
         upper *= 2.0
     mid = 0.5 * (lower + upper)
     for _ in range(max_iterations):
         mid = 0.5 * (lower + upper)
-        achieved = float(expit(mid + scores).mean())
+        achieved = float(_expit(mid + scores).mean())
         if abs(achieved - target_proportion) < tol:
             return mid
         if achieved > target_proportion:
@@ -259,7 +266,7 @@ def ampute(
     block = values[:, mar_ids] if mar_values is None else np.asarray(mar_values, dtype=float)
     scores = mar_linear_scores(block)
     intercept = calibrate_intercept(scores, cond.missing_proportion)
-    probabilities = expit(intercept + scores)
+    probabilities = _expit(intercept + scores)
     mask = np.ones(values.shape, dtype=bool)
     for j, role in enumerate(roles):
         if role != ROLE_ANALYSIS:
@@ -275,7 +282,7 @@ def _logistic_fit(predictors: np.ndarray, outcome: np.ndarray) -> tuple[np.ndarr
     design = np.hstack([np.ones((len(outcome), 1)), predictors])
     beta = np.zeros(design.shape[1])
     for _ in range(60):
-        probs = expit(design @ beta)
+        probs = _expit(design @ beta)
         weights = probs * (1.0 - probs) + 1e-12
         step = np.linalg.solve(
             (design * weights[:, None]).T @ design, design.T @ (outcome - probs)
@@ -283,7 +290,7 @@ def _logistic_fit(predictors: np.ndarray, outcome: np.ndarray) -> tuple[np.ndarr
         beta += step
         if np.max(np.abs(step)) < 1e-10:
             break
-    probs = np.clip(expit(design @ beta), 1e-12, 1.0 - 1e-12)
+    probs = np.clip(_expit(design @ beta), 1e-12, 1.0 - 1e-12)
     loglik = float(np.sum(outcome * np.log(probs) + (1.0 - outcome) * np.log(1.0 - probs)))
     return beta, loglik
 

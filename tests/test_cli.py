@@ -508,12 +508,20 @@ class TestEntryPoint:
         assert "simulate" in proc.stdout
         assert "impute" in proc.stdout
 
-    def test_import_leaves_scipy_stats_unloaded(self):
+    @staticmethod
+    def _loaded_by_cli_import(module: str) -> bool:
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, pcimpute.cli; print('scipy.stats' in sys.modules)"],
+            [sys.executable, "-c", f"import sys, pcimpute.cli; print({module!r} in sys.modules)"],
             capture_output=True,
             text=True,
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip() == "True"
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        assert not self._loaded_by_cli_import("scipy.stats")
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        # Only pooling and the simulation need scipy.special; impute does neither.
+        assert not self._loaded_by_cli_import("scipy.special")

@@ -193,7 +193,8 @@ class TestCsv:
 
     def test_write_refuses_infinite_cell(self, tmp_path):
         path = tmp_path / "inf.csv"
-        with pytest.raises(ValueError, match=re.escape(f"{path}: data row 2, column 'b'")):
+        message = f"{path}: data row 2, column 'b': cannot write non-finite value -inf"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             write_csv(path, np.array([[1.0, 2.0], [3.0, -np.inf]]), ["a", "b"])
         assert not path.exists()
 
@@ -201,7 +202,10 @@ class TestCsv:
         source = np.array([[1.0, np.nan], [0.0, 2.0]])
         completion = np.array([[1.0, 4.0], [-0.0, 2.0]])
         path = tmp_path / "changed.csv"
-        with pytest.raises(ValueError, match=re.escape(f"{path}: data row 2, column 'a'")):
+        message = (
+            f"{path}: data row 2, column 'a': observed cell -0.0 differs from the template's 0.0"
+        )
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             write_csv(path, completion, ["a", "b"], template=_csv_template(source))
         assert not path.exists()
 

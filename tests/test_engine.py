@@ -394,6 +394,23 @@ class TestRunImputeContracts:
             with pytest.raises(ValueError, match=re.escape(message + "X'X or X'y overflowed")):
                 run_impute(_spec(STRATEGY_QUICKPRED, imputer=imputer, corr_threshold=0.0), data)
 
+    @pytest.mark.parametrize(
+        ("strategy", "where", "width"),
+        [(STRATEGY_QUICKPRED, "", 56), (STRATEGY_ALL, "pre-pass ", 56), (STRATEGY_ORACLE, "", 8)],
+    )
+    def test_far_offset_gram_is_named(self, strategy, where, width):
+        # Every column of p = 56 study data shifted by 3e7: the ridged Gram of
+        # the uncentred predictors and the intercept is numerically singular.
+        data, _, _ = study_dataset(seed=1)
+        shifted = IncompleteData(data.values + 3e7, data.mask, data.names, data.roles)
+        message = (
+            rf"^{where}chain 0, iteration 1, column 'x1': ridged Gram is not positive "
+            rf"definite \(leading minor \d+ of {width}\)$"
+        )
+        spec = _spec(strategy, chains=1, iterations=1, prepass_iterations=1)
+        with pytest.raises(ValueError, match=message):
+            run_impute(spec, shifted)
+
 
 class TestStrategySpecifics:
     def test_vbv_extracts_components_every_visit(self):

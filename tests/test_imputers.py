@@ -44,6 +44,11 @@ class TestRidgedLeastSquares:
         gram = design.T @ design + ridge * np.eye(design.shape[1])
         np.testing.assert_allclose(lower @ lower.T, gram, atol=1e-9)
 
+    def test_cholesky_factor_is_zero_above_diagonal(self):
+        x, y, _ = _regression_case(3)
+        _, lower = ridged_least_squares(x, y)
+        np.testing.assert_array_equal(np.triu(lower, 1), 0.0)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="row counts"):
             ridged_least_squares(np.ones((4, 2)), np.ones(5))
@@ -85,6 +90,22 @@ class TestDrawLinearParams:
         y = rng.standard_normal(4)
         with pytest.raises(ValueError, match="overparameterized imputation model"):
             draw_linear_params(y, x, rng)
+
+    def test_indefinite_gram_is_named(self):
+        # The third leading minor of this Gram is negative.
+        x, y, _ = _regression_case(2, r=3)
+        gram = np.eye(4)
+        gram[2, 2] = -1.0
+        message = r"ridged Gram is not positive definite \(leading minor 3 of 4\)$"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            draw_linear_params(y, x, np.random.default_rng(0), gram=gram)
+
+    def test_overflowed_gram_is_named_as_overflow(self):
+        # An infinite cross product stops the factorisation at the second minor.
+        x, y, _ = _regression_case(2, r=1)
+        gram = np.array([[1.0, np.inf], [np.inf, 1.0]])
+        with pytest.raises(ValueError, match="X'X or X'y overflowed"):
+            draw_linear_params(y, x, np.random.default_rng(0), gram=gram)
 
     def test_exact_fit_floors_residual_sd(self):
         # An all-zero outcome solves to all-zero coefficients exactly,

@@ -12,7 +12,11 @@ on p = 56 data with auxiliary columns missing too (so the pre-pass has
 work in both blocks), on a two-column dataset (a one-column pre-pass
 block) and, with pcr-vbv, on p = 56 data with a constant column;
 quickpred and pcr-all on p = 56 data with every column shifted by 1e6
-(the quickpred screen must centre each correlation in two passes); pmm
+(the quickpred screen must centre each correlation in two passes); every
+strategy on p = 56 data shifted by 3e7, where the raw-predictor
+strategies fail on a Gram that is not positive definite (such a case
+prints its labelled failure message), and on p = 56 data scaled by
+1e-4, where the ridge outweighs the data's own spread; pmm
 where donor ties are heavy (intercept-only quickpred models, so every
 prediction ties, and every strategy on columns coded 1..3);
 the pre-pass alone (``engine._prepass_complete``, under the label of the
@@ -137,11 +141,19 @@ def run_cases():
     wide["56-shifted"] = pcimpute.IncompleteData(
         wide[56].values + 1e6, wide[56].mask, wide[56].names, wide[56].roles
     )
+    # Location and scale cases for a centred draw and a relative ridge.
+    wide["56-shifted-3e7"] = pcimpute.IncompleteData(
+        wide[56].values + 3e7, wide[56].mask, wide[56].names, wide[56].roles
+    )
+    wide["56-scaled-1e-4"] = pcimpute.IncompleteData(
+        wide[56].values * 1e-4, wide[56].mask, wide[56].names, wide[56].roles
+    )
     fixed = ("pcr-all", "pcr-aux")
     cases = [(56, 7, pcimpute.STRATEGIES), (56, "max", pcimpute.STRATEGIES)]
     cases += [(242, 7, pcimpute.STRATEGIES), ("56-aux-gaps", 7, fixed), ("2", 1, fixed)]
     cases += [("56-constant", 7, ("pcr-vbv", *fixed))]
     cases += [("56-shifted", 7, ("quickpred", "pcr-all"))]
+    cases += [(key, 7, pcimpute.STRATEGIES) for key in ("56-shifted-3e7", "56-scaled-1e-4")]
     for p, q, strategies in cases:
         for strategy in strategies:
             for imputer in IMPUTERS:
@@ -154,10 +166,17 @@ def run_cases():
                     prepass_iterations=5,
                     seed=11,
                 )
-                result = pcimpute.run_impute(spec, wide[p])
+                name = f"run_impute p={p} q={q} {strategy} {imputer}"
+                try:
+                    result = pcimpute.run_impute(spec, wide[p])
+                except ValueError as err:
+                    if p != "56-shifted-3e7":
+                        raise
+                    yield name, f"raises {err}"
+                    continue
                 means = [record.imputed_mean for record in result.trace]
                 info = [result.resolved_components or 0, result.pca_count]
-                yield f"run_impute p={p} q={q} {strategy} {imputer}", [
+                yield name, [
                     *result.completions,
                     np.asarray(means),
                     np.asarray(info),
