@@ -509,7 +509,7 @@ class TestEntryPoint:
         assert "impute" in proc.stdout
 
     @staticmethod
-    def _loaded_by_cli_import(module: str) -> bool:
+    def _loaded_by_cli_import(module: str) -> str:
         proc = subprocess.run(
             [sys.executable, "-c", f"import sys, pcimpute.cli; print({module!r} in sys.modules)"],
             capture_output=True,
@@ -517,11 +517,11 @@ class TestEntryPoint:
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.strip() == "True"
+        return proc.stdout.strip()
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        assert not self._loaded_by_cli_import("scipy.stats")
+        assert self._loaded_by_cli_import("scipy.stats") == "False"
 
     def test_import_leaves_scipy_special_unloaded(self):
         # Only pooling and the simulation need scipy.special; impute does neither.
-        assert not self._loaded_by_cli_import("scipy.special")
+        assert self._loaded_by_cli_import("scipy.special") == "False"

@@ -518,32 +518,28 @@ class TestBlasThreads:
                     raise RuntimeError("inside")
             assert self._counts() == prior
 
-    @staticmethod
-    def _mapped_openblas() -> list[str]:
-        """The distinct OpenBLAS libraries in this process's memory map."""
+    @pytest.mark.parametrize(
+        "getter_name",
+        [
+            # numpy's bundled libscipy_openblas64_
+            "scipy_openblas_get_num_threads64_",
+            # scipy's libscipy_openblas, where the draw's LAPACK calls run
+            "scipy_openblas_get_num_threads",
+        ],
+    )
+    def test_pins_and_restores_each_bundled_copy(self, getter_name):
         try:
             with open("/proc/self/maps", encoding="utf-8") as handle:
                 paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
         except OSError:
             pytest.skip("no /proc")
-        if not paths:
-            pytest.skip("no OpenBLAS loaded")
-        return paths
-
-    def test_one_control_per_mapped_openblas(self):
-        # numpy's libscipy_openblas64_ and scipy's libscipy_openblas: the draw's
-        # LAPACK calls run in scipy's copy, so a study's determinism needs both.
-        assert len(_openblas_thread_controls()) == len(self._mapped_openblas())
-
-    def test_pins_and_restores_scipys_copy(self):
-        libraries = [ctypes.CDLL(path) for path in self._mapped_openblas()]
         getters = [
-            lib.scipy_openblas_get_num_threads
-            for lib in libraries
-            if hasattr(lib, "scipy_openblas_get_num_threads")
+            getattr(lib, getter_name)
+            for lib in map(ctypes.CDLL, paths)
+            if hasattr(lib, getter_name)
         ]
         if not getters:
-            pytest.skip("scipy's OpenBLAS is not loaded")
+            pytest.skip(f"no loaded OpenBLAS exports {getter_name}")
         [get] = getters
         get.argtypes, get.restype = [], ctypes.c_int
         with _blas_threads(2):
