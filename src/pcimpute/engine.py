@@ -111,7 +111,11 @@ class StudySettings:
     donors : int
         Donor-pool size for pmm.
     ridge : float
-        Stabilization constant for the regression normal equations.
+        Stabilization constant added to the diagonal of the slopes' Gram,
+        the predictors' cross products centred on the target's observed
+        rows.  It is absolute (in the predictors' squared units), and the
+        intercept is never ridged, so a shift of a column does not move
+        the imputations.
     """
 
     chains: int = 5
@@ -144,8 +148,8 @@ class StudySettings:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.donors < 1:
             raise ValueError("donors must be positive")
-        if not self.ridge >= 0.0:
-            raise ValueError("ridge must be nonnegative")
+        if not 0.0 <= self.ridge < np.inf:
+            raise ValueError(f"ridge must be nonnegative and finite, got {self.ridge!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -477,14 +481,11 @@ def _fixed_scores(plan: _Plan, columns: np.ndarray) -> np.ndarray:
 
 def _refresh_gram(gram: np.ndarray, x: np.ndarray, border: np.ndarray, ridge: float) -> None:
     """Recompute, in place, the rows and columns of ``gram = ridged_gram(x, ridge)``
-    that belong to the predictors at positions ``border`` of ``x``, in O(n r b)."""
-    columns = x[:, border]
-    cross = columns.T @ x
+    that belong to the centred predictors at positions ``border`` of ``x``, in O(n r b)."""
+    cross = x[:, border].T @ x
     cross[np.arange(border.size), border] += ridge
-    at = border + 1
-    gram[at, 0] = gram[0, at] = columns.sum(axis=0)
-    gram[1:, at] = cross.T
-    gram[at, 1:] = cross
+    gram[:, border] = cross.T
+    gram[border, :] = cross
 
 
 class _Design:
@@ -499,8 +500,11 @@ class _Design:
     every score under ``pcr-vbv``), and refreshes their Gram rows and
     columns; when the border is half the columns or more, the full
     product is cheaper and replaces the Gram.  A width change (a
-    per-visit q that shrank) rebuilds it.  It holds n x r predictor
-    cells and one (r + 1)^2 Gram.
+    per-visit q that shrank) rebuilds it.  Every column is stored
+    centred on the target's observed rows (``x_mis`` with the same
+    centres), and a border column is centred again when it is
+    rewritten, so the draw sees no predictor's location.  It holds
+    n x r predictor cells and one r x r Gram.
     """
 
     def __init__(self, plan: _Plan, target: int) -> None:
@@ -516,7 +520,7 @@ class _Design:
         """Write this visit's predictors and bring the Gram up to date."""
         n_raw = self.columns.size
         width = n_raw + (0 if scores is None else scores.shape[1])
-        rebuild = self.gram is None or self.gram.shape[0] != width + 1
+        rebuild = self.gram is None or self.gram.shape[0] != width
         if rebuild:
             border = np.arange(width)
             self.x_obs = np.empty((int(self.observed.sum()), width))
@@ -528,8 +532,12 @@ class _Design:
         values = working[:, self.columns[border[border < n_raw]]]
         if border.size > values.shape[1]:
             values = np.hstack([values, scores])
-        self.x_obs[:, border] = values[self.observed]
-        self.x_mis[:, border] = values[~self.observed]
+        observed = values[self.observed]
+        # Each centre sums its column's own contiguous cells, so it does not
+        # depend on how many columns the border holds.
+        centres = np.ascontiguousarray(observed.T).mean(axis=1)
+        self.x_obs[:, border] = observed - centres
+        self.x_mis[:, border] = values[~self.observed] - centres
         # The refresh costs O(n r b) against the full product's O(n r^2 / 2).
         if rebuild or 2 * border.size >= width:
             self.gram = ridged_gram(self.x_obs, plan.spec.ridge)
@@ -550,9 +558,10 @@ def build_predictors(
     The predictors are the target's raw columns under ``plan`` that are
     not constant in ``working``, followed by the plan's component scores,
     on the target's observed rows (``x_obs``) and missing rows
-    (``x_mis``); ``gram`` is ``ridged_gram(x_obs, plan.spec.ridge)`` up
-    to rounding.  They are the plan's cache for the target (see
-    ``_Design``), valid until the target's next visit.
+    (``x_mis``), each centred on its mean over the observed rows;
+    ``gram`` is ``ridged_gram(x_obs, plan.spec.ridge)`` up to rounding.
+    They are the plan's cache for the target (see ``_Design``), valid
+    until the target's next visit.
     """
     design = plan.designs.get(target)
     if design is None:
@@ -565,8 +574,7 @@ def build_predictors(
         return design.x_obs, design.x_mis, design.gram
     # A moving column that is constant at this visit sits out this visit only.
     keep = np.delete(np.arange(design.x_obs.shape[1]), dead)
-    gram = design.gram[np.ix_(np.append(0, keep + 1), np.append(0, keep + 1))]
-    return design.x_obs[:, keep], design.x_mis[:, keep], gram
+    return design.x_obs[:, keep], design.x_mis[:, keep], design.gram[np.ix_(keep, keep)]
 
 
 def _impute_column(

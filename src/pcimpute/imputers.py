@@ -2,9 +2,11 @@
 
 Two imputer kinds are provided.  The Bayesian normal imputer draws the
 residual variance from its scaled inverse chi-square posterior and the
-coefficients from their conditional normal posterior around a
-ridge-stabilized least-squares solution, then samples from the
-posterior predictive.  Predictive-mean matching reuses the same single
+coefficients from their conditional normal posterior, then samples from
+the posterior predictive.  On predictors centred on their means the
+intercept is drawn around the outcome's mean, unridged, and the slopes
+around a ridge-stabilized least-squares solution, so the draw does not
+depend on where a predictor's values sit.  Predictive-mean matching reuses the same single
 parameter draw to score observed and missing rows alike, then hands
 each missing row the observed outcome of one of its nearest neighbors
 in predicted-mean space.
@@ -49,27 +51,36 @@ class LinearModelDraw:
         return self.coefficients[0] + x @ self.coefficients[1:]
 
 
-def _design(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("predictor matrix must be 2-d")
-    return np.hstack([np.ones((x.shape[0], 1)), x])
-
-
-def _ridged(design: np.ndarray, ridge: float) -> np.ndarray:
-    return design.T @ design + ridge * np.eye(design.shape[1])
-
-
 def ridged_gram(x: np.ndarray, ridge: float = DEFAULT_RIDGE) -> np.ndarray:
-    """The ridged Gram ``[1, x]' [1, x] + ridge * I`` of ``x`` with an intercept column first."""
-    return _ridged(_design(x), ridge)
+    """The r x r ridged Gram ``xc' xc + ridge * I`` of ``x``'s columns centred on their means.
+
+    Centred predictors are orthogonal to the constant column, so the
+    intercept is estimated apart from them and is never ridged.
+    """
+    x = np.asarray(x, dtype=float)
+    centred = x - _column_means(x)
+    return centred.T @ centred + ridge * np.eye(x.shape[1])
 
 
-def _solve(design: np.ndarray, y: np.ndarray, gram: np.ndarray):
-    if design.shape[0] != y.shape[0]:
+def _column_means(x: np.ndarray) -> np.ndarray:
+    # A BLAS product: numpy's reduction along the rows is slow on narrow matrices.
+    return np.ones(x.shape[0]) @ x / x.shape[0]
+
+
+def _solve(x: np.ndarray, y: np.ndarray, ridge: float, gram: np.ndarray | None):
+    """The ridged fit of ``y ~ 1 + x`` on centred predictors.
+
+    Returns ``(coefficients, means, lower)``: the intercept in ``x``'s own
+    coordinates, ``mean(y) - means @ slopes``, then the slopes; the
+    predictors' column means; and the lower Cholesky factor of ``gram``
+    (``ridged_gram(x, ridge)`` when None).
+    """
+    if x.shape[0] != y.shape[0]:
         raise ValueError("predictor and outcome row counts differ")
-    if not (np.isfinite(design).all() and np.isfinite(y).all()):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("design and outcome must be finite")
+    if gram is None:
+        gram = ridged_gram(x, ridge)
     # LAPACK reads the lower triangle of the C-order Gram (f2py copies it to
     # Fortran order).  Passing ``gram.T`` would skip the copy but read the
     # upper triangle, and a Gram refreshed in place need not be bitwise
@@ -82,22 +93,35 @@ def _solve(design: np.ndarray, y: np.ndarray, gram: np.ndarray):
         raise np.linalg.LinAlgError(
             f"ridged Gram is not positive definite (leading minor {info} of {gram.shape[0]})"
         )
-    # The design and outcome are finite, so a non-finite factor or solution
-    # can only come from products that overflowed; one O(r) check covers both.
-    coefficients, _ = dpotrs(lower, design.T @ y, lower=1)
-    if not np.isfinite(coefficients).all():
+    y_mean = y.mean()
+    # The centred outcome sums to zero, so x' (y - mean) is the centred cross product.
+    # LAPACK refuses the empty system of an intercept-only model.
+    slopes = dpotrs(lower, x.T @ (y - y_mean), lower=1)[0] if x.shape[1] else np.empty(0)
+    # The inputs are finite, so a non-finite factor or solution can only come
+    # from products that overflowed; one O(r) check covers both.
+    if not np.isfinite(slopes).all():
         raise ValueError("non-finite regression coefficients: X'X or X'y overflowed")
-    return coefficients, lower
+    means = _column_means(x)
+    return np.append(y_mean - means @ slopes, slopes), means, lower
+
+
+def _inputs(x, y) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("predictor matrix must be 2-d")
+    return x, np.asarray(y, dtype=float).ravel()
 
 
 def ridged_least_squares(x: np.ndarray, y: np.ndarray, ridge: float = DEFAULT_RIDGE):
     """Solve the ridge-stabilized normal equations for ``y ~ 1 + x``.
 
-    Returns ``(coefficients, cholesky_factor)`` where the factor is the
-    lower Cholesky triangle of ``ridged_gram(x, ridge)``, zero above it.
+    The slopes are ridged on ``x``'s centred columns; the intercept,
+    ``mean(y) - mean(x) @ slopes``, is not.  Returns ``(coefficients,
+    cholesky_factor)``, the intercept first, where the factor is the lower
+    Cholesky triangle of ``ridged_gram(x, ridge)``, zero above it.
     """
-    design = _design(x)
-    return _solve(design, np.asarray(y, dtype=float).ravel(), _ridged(design, ridge))
+    coefficients, _, lower = _solve(*_inputs(x, y), ridge, None)
+    return coefficients, lower
 
 
 def draw_linear_params(
@@ -110,12 +134,16 @@ def draw_linear_params(
     """Draw linear-model parameters from their posterior.
 
     The residual variance is RSS over a chi-square draw with
-    ``n_obs - r - 1`` degrees of freedom (``r`` predictors); the
-    coefficients are normal around the ridged least-squares solution
-    with covariance ``sigma^2 (X'X + ridge I)^{-1}``.  ``gram``, when
-    given, must be ``ridged_gram(x_obs, ridge)`` (up to rounding): a
-    caller that keeps it across draws whose predictors barely change
-    saves its O(n_obs r^2) product.
+    ``n_obs - r - 1`` degrees of freedom (``r`` predictors).  On the
+    predictors centred on their means the intercept is normal around
+    ``mean(y)`` with variance ``sigma^2 / n_obs``, and the slopes are
+    normal around the ridged least-squares solution with covariance
+    ``sigma^2 (Xc'Xc + ridge I)^{-1}``; the draw is then mapped back to
+    ``x_obs``'s own coordinates.  So a shift of a predictor column moves
+    only the intercept.  ``gram``, when given, must be
+    ``ridged_gram(x_obs, ridge)`` (up to rounding): a caller that keeps
+    it across draws whose predictors barely change saves its
+    O(n_obs r^2) product.
 
     Raises
     ------
@@ -128,27 +156,24 @@ def draw_linear_params(
         A ``ValueError`` too, naming the leading minor at which the
         ridged Gram is not positive definite.
     """
-    design = _design(x_obs)
-    y_obs = np.asarray(y_obs, dtype=float).ravel()
-    n_obs, p = design.shape
-    df = n_obs - p
+    x_obs, y_obs = _inputs(x_obs, y_obs)
+    n_obs, r = x_obs.shape
+    df = n_obs - r - 1
     if df <= 0:
         raise ValueError(
-            f"overparameterized imputation model: {p - 1} predictors with "
+            f"overparameterized imputation model: {r} predictors with "
             f"{n_obs} observed cases leaves {df} degrees of freedom"
         )
-    if gram is None:
-        gram = _ridged(design, ridge)
-    coefficients, lower = _solve(design, y_obs, gram)
-    residuals = y_obs - design @ coefficients
-    rss = float(residuals @ residuals)
-    sigma2 = rss / rng.chisquare(df)
-    noise = rng.standard_normal(p)
-    residual_sd = float(np.sqrt(sigma2))
-    if residual_sd == 0.0:
-        residual_sd = float(np.finfo(float).tiny)
-    shift, _ = dtrtrs(lower, noise, lower=1, trans=1)
-    drawn = coefficients + residual_sd * shift
+    coefficients, means, lower = _solve(x_obs, y_obs, ridge, gram)
+    residuals = y_obs - coefficients[0] - x_obs @ coefficients[1:]
+    sigma2 = float(residuals @ residuals) / rng.chisquare(df)
+    noise = rng.standard_normal(r + 1)
+    # An exact fit draws sigma 0; the floor keeps the residual SD positive.
+    residual_sd = max(float(np.sqrt(sigma2)), float(np.finfo(float).tiny))
+    # The slopes move by L^-T z[1:] (no solve without predictors); the intercept
+    # of the centred predictors by z[0] / sqrt(n), less the slopes' move at the means.
+    shift = dtrtrs(lower, noise[1:], lower=1, trans=1)[0] if r else noise[1:]
+    drawn = coefficients + residual_sd * np.append(noise[0] / np.sqrt(n_obs) - means @ shift, shift)
     return LinearModelDraw(coefficients=drawn, residual_sd=residual_sd)
 
 

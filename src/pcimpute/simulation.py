@@ -76,6 +76,8 @@ class SimulationCondition:
             kind, noun = (Integral, "an integer") if name in counts else (Real, "a number")
             if not _is_a(value, kind):
                 raise ValueError(f"{name} must be {noun}, got {value!r}")
+            if not abs(value) < np.inf:
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.n_rows < 10:
             raise ValueError("n_rows must be at least 10")
         if self.factors < 2:

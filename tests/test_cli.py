@@ -495,6 +495,26 @@ class TestSimulateCommand:
         assert "bad grid cell" in err and message in err
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize(
+        ("section", "key", "value", "message"),
+        [
+            ("grid", "target_mean", float("nan"), "target_mean must be finite, got nan"),
+            ("grid", "target_variance", float("inf"), "target_variance must be finite, got inf"),
+            ("settings", "ridge", float("inf"), "ridge must be nonnegative and finite, got inf"),
+        ],
+    )
+    def test_non_finite_json_values_exit_1(self, tmp_path, capsys, section, key, value, message):
+        # json writes and reads these as its NaN and Infinity tokens.
+        path = self._config(tmp_path)
+        config = json.loads(path.read_text(encoding="utf-8"))
+        config[section][key] = value
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        label = "bad grid cell" if section == "grid" else "bad settings"
+        assert label in err and message in err
+        assert not (tmp_path / "results").exists()
+
 
 class TestEntryPoint:
     def test_module_invocation_shows_help(self):

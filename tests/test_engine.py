@@ -86,6 +86,18 @@ class TestImputationSpec:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ImputationSpec(strategy=STRATEGY_VBV, **{field: value})
 
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("ridge", float("inf"), r"ridge must be nonnegative and finite, got inf"),
+            ("ridge", float("nan"), r"ridge must be nonnegative and finite, got nan"),
+            ("corr_threshold", float("nan"), r"corr_threshold must lie in \[0, 1\]"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ImputationSpec(strategy=STRATEGY_VBV, **{field: value})
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             ImputationSpec(strategy=STRATEGY_VBV, seed=-1)
@@ -394,22 +406,39 @@ class TestRunImputeContracts:
             with pytest.raises(ValueError, match=re.escape(message + "X'X or X'y overflowed")):
                 run_impute(_spec(STRATEGY_QUICKPRED, imputer=imputer, corr_threshold=0.0), data)
 
-    @pytest.mark.parametrize(
-        ("strategy", "where", "width"),
-        [(STRATEGY_QUICKPRED, "", 56), (STRATEGY_ALL, "pre-pass ", 56), (STRATEGY_ORACLE, "", 8)],
-    )
-    def test_far_offset_gram_is_named(self, strategy, where, width):
-        # Every column of p = 56 study data shifted by 3e7: the ridged Gram of
-        # the uncentred predictors and the intercept is numerically singular.
+    @pytest.mark.parametrize("imputer", IMPUTER_KINDS)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_imputations_are_shift_equivariant(self, strategy, imputer):
+        # Every column of p = 56 study data shifted far: the draw works on
+        # predictors centred on the target's observed rows and an unridged
+        # intercept, so only the representation of the shifted cells differs.
         data, _, _ = study_dataset(seed=1)
-        shifted = IncompleteData(data.values + 3e7, data.mask, data.names, data.roles)
-        message = (
-            rf"^{where}chain 0, iteration 1, column 'x1': ridged Gram is not positive "
-            rf"definite \(leading minor \d+ of {width}\)$"
+        spec = _spec(
+            strategy, imputer=imputer, n_components=7, chains=1, iterations=2, prepass_iterations=2
         )
-        spec = _spec(strategy, chains=1, iterations=1, prepass_iterations=1)
+        gap = ~data.mask
+        base = run_impute(spec, data).completions[0][gap]
+        for shift in (3e7, 1e8):
+            shifted = IncompleteData(data.values + shift, data.mask, data.names, data.roles)
+            imputed = run_impute(spec, shifted).completions[0][gap]
+            np.testing.assert_allclose(imputed - shift, base, rtol=0, atol=4 * np.spacing(shift))
+
+    def test_singular_centred_gram_is_named(self):
+        # x2 == x3, balanced +-1 on x1's 16 observed rows: centred exactly, their
+        # Gram block is [[16, 16], [16, 16]], singular at its second minor.
+        rng = np.random.default_rng(31)
+        values = rng.standard_normal((24, 4))
+        values[:, 1] = np.tile([1.0, -1.0], 12)
+        values[:, 2] = values[:, 1]
+        values[16:, 0] = np.nan
+        data = IncompleteData.from_matrix(values)
+        message = (
+            r"^chain 0, iteration 1, column 'x1': ridged Gram is not positive "
+            r"definite \(leading minor 2 of 3\)$"
+        )
+        spec = _spec(STRATEGY_QUICKPRED, corr_threshold=0.0, ridge=0.0)
         with pytest.raises(ValueError, match=message):
-            run_impute(spec, shifted)
+            run_impute(spec, data)
 
 
 class TestStrategySpecifics:
@@ -597,6 +626,11 @@ class TestPrepass:
         )
 
 
+def _centred(columns, rows):
+    """``columns`` minus each column's mean over ``rows``, taken one column at a time."""
+    return columns - np.array([column[rows].mean() for column in columns.T])
+
+
 class TestCachedDesign:
     """Each target's predictors and their Gram, kept on the plan across visits."""
 
@@ -617,11 +651,12 @@ class TestCachedDesign:
         for _ in range(3):
             x_obs, x_mis, gram = engine.build_predictors(plan, working, 0)
             gathered = working[:, plan.raw[0]]
-            np.testing.assert_array_equal(x_obs, gathered[observed])
-            np.testing.assert_array_equal(x_mis, gathered[~observed])
+            centred = _centred(gathered, observed)
+            np.testing.assert_array_equal(x_obs, centred[observed])
+            np.testing.assert_array_equal(x_mis, centred[~observed])
             np.testing.assert_allclose(gram, ridged_gram(x_obs), rtol=0, atol=1e-9)
             cached = draw_linear_params(y_obs, x_obs, np.random.default_rng(1), gram=gram)
-            fresh = draw_linear_params(y_obs, gathered[observed], np.random.default_rng(1))
+            fresh = draw_linear_params(y_obs, centred[observed], np.random.default_rng(1))
             np.testing.assert_allclose(cached.coefficients, fresh.coefficients, rtol=0, atol=1e-9)
             assert cached.residual_sd == pytest.approx(fresh.residual_sd, rel=0, abs=1e-9)
             # The other targets' draws move their missing cells between visits.
@@ -645,8 +680,10 @@ class TestCachedDesign:
                 x_obs, x_mis, gram = engine.build_predictors(plan, working, 0)
                 widths.append(x_obs.shape[1])
                 live = [j for j in plan.raw[0] if np.ptp(working[:, j]) > 0]
-                np.testing.assert_array_equal(x_obs, working[data.mask[:, 0]][:, live])
-                np.testing.assert_array_equal(x_mis, working[~data.mask[:, 0]][:, live])
+                gathered = working[:, live]
+                centred = _centred(gathered, data.mask[:, 0])
+                np.testing.assert_array_equal(x_obs, centred[data.mask[:, 0]])
+                np.testing.assert_array_equal(x_mis, centred[~data.mask[:, 0]])
                 np.testing.assert_allclose(gram, ridged_gram(x_obs), rtol=0, atol=1e-9)
         assert widths == [4, 5, 4, 5]
         messages = [rec.message for rec in caplog.records]

@@ -40,8 +40,8 @@ class TestRidgedLeastSquares:
         x, y, _ = _regression_case(3)
         ridge = 1e-5
         _, lower = ridged_least_squares(x, y, ridge=ridge)
-        design = np.column_stack([np.ones(len(y)), x])
-        gram = design.T @ design + ridge * np.eye(design.shape[1])
+        centred = x - x.mean(axis=0)
+        gram = centred.T @ centred + ridge * np.eye(x.shape[1])
         np.testing.assert_allclose(lower @ lower.T, gram, atol=1e-9)
 
     def test_cholesky_factor_is_zero_above_diagonal(self):
@@ -94,15 +94,15 @@ class TestDrawLinearParams:
     def test_indefinite_gram_is_named(self):
         # The third leading minor of this Gram is negative.
         x, y, _ = _regression_case(2, r=3)
-        gram = np.eye(4)
+        gram = np.eye(3)
         gram[2, 2] = -1.0
-        message = r"ridged Gram is not positive definite \(leading minor 3 of 4\)$"
+        message = r"ridged Gram is not positive definite \(leading minor 3 of 3\)$"
         with pytest.raises(np.linalg.LinAlgError, match=message):
             draw_linear_params(y, x, np.random.default_rng(0), gram=gram)
 
     def test_overflowed_gram_is_named_as_overflow(self):
         # An infinite cross product stops the factorisation at the second minor.
-        x, y, _ = _regression_case(2, r=1)
+        x, y, _ = _regression_case(2, r=2)
         gram = np.array([[1.0, np.inf], [np.inf, 1.0]])
         with pytest.raises(ValueError, match="X'X or X'y overflowed"):
             draw_linear_params(y, x, np.random.default_rng(0), gram=gram)
@@ -115,6 +115,18 @@ class TestDrawLinearParams:
         params = draw_linear_params(y, x, np.random.default_rng(1), ridge=0.0)
         assert params.residual_sd == np.finfo(float).tiny
 
+    def test_intercept_only_model(self):
+        # No predictors: df = n - 1 and the intercept is mean(y) + sd * z0 / sqrt(n).
+        y = np.random.default_rng(5).standard_normal(12)
+        params = draw_linear_params(y, np.empty((12, 0)), np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        sd = np.sqrt(((y - y.mean()) ** 2).sum() / rng.chisquare(11))
+        expected = y.mean() + sd * rng.standard_normal(1)[0] / np.sqrt(12)
+        np.testing.assert_allclose(params.coefficients, [expected], rtol=0, atol=1e-12)
+        assert params.residual_sd == pytest.approx(sd)
+        with pytest.raises(ValueError, match="0 predictors with 1 observed cases leaves 0"):
+            draw_linear_params(y[:1], np.empty((1, 0)), rng)
+
     def test_draw_order_is_variance_then_coefficients(self):
         # Splitting the generator reproduces the draw only in this order.
         x, y, _ = _regression_case(11)
@@ -123,10 +135,13 @@ class TestDrawLinearParams:
         chis = rng.chisquare(len(y) - x.shape[1] - 1)
         noise = rng.standard_normal(x.shape[1] + 1)
         coefficients, lower = ridged_least_squares(x, y)
-        design = np.column_stack([np.ones(len(y)), x])
-        rss = float(((y - design @ coefficients) ** 2).sum())
+        rss = float(((y - coefficients[0] - x @ coefficients[1:]) ** 2).sum())
         sd = np.sqrt(rss / chis)
-        expected = coefficients + sd * np.linalg.solve(lower.T, noise)
+        # The intercept of the centred predictors takes noise[0], unridged;
+        # the slopes take the rest through the centred Gram's factor.
+        slopes = coefficients[1:] + sd * np.linalg.solve(lower.T, noise[1:])
+        intercept = y.mean() + sd * noise[0] / np.sqrt(len(y)) - x.mean(axis=0) @ slopes
+        expected = np.append(intercept, slopes)
         np.testing.assert_allclose(params.coefficients, expected, atol=1e-12)
         assert params.residual_sd == pytest.approx(sd)
 
@@ -250,6 +265,14 @@ class TestPmm:
         out = pmm_impute(y_obs, x_obs, x_mis, np.random.default_rng(0), donors=1)
         assert out[0] in y_obs
         assert abs(out[0] - 12.0) <= 3.0  # donor is 4.0 or a close neighbor
+
+    def test_intercept_only_donors_are_the_first_rows(self):
+        # Every prediction ties, so each pool is the first k observed rows.
+        y_obs = 1.5 * np.arange(10.0)
+        out = pmm_impute(y_obs, np.empty((10, 0)), np.empty((6, 0)), np.random.default_rng(2), 3)
+        rng = np.random.default_rng(2)
+        rng.chisquare(9), rng.standard_normal(1)  # the parameter draw
+        np.testing.assert_array_equal(out, y_obs[rng.integers(3, size=6)])
 
     def test_identical_rows_get_identical_predictions(self, monkeypatch):
         # Integer codes, as coarsened study columns have: the observed and the

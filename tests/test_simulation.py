@@ -91,6 +91,14 @@ class TestCondition:
         with pytest.raises(ValueError, match=f"{field} must be {noun}, got {value!r}"):
             SimulationCondition(**{field: value})
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("target_mean", float("nan")), ("target_variance", float("inf")), ("loading", -np.inf)],
+    )
+    def test_non_finite_fields_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+            SimulationCondition(**{field: value})
+
     def test_numpy_integers_accepted(self):
         assert SimulationCondition(n_rows=np.int64(80), categories=np.int64(3)).n_rows == 80
 

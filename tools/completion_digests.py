@@ -13,10 +13,12 @@ work in both blocks), on a two-column dataset (a one-column pre-pass
 block) and, with pcr-vbv, on p = 56 data with a constant column;
 quickpred and pcr-all on p = 56 data with every column shifted by 1e6
 (the quickpred screen must centre each correlation in two passes); every
-strategy on p = 56 data shifted by 3e7, where the raw-predictor
-strategies fail on a Gram that is not positive definite (such a case
-prints its labelled failure message), and on p = 56 data scaled by
-1e-4, where the ridge outweighs the data's own spread; pmm
+strategy on p = 56 data shifted by 3e7, which runs because the draw
+centres its predictors and leaves the intercept unridged (a tree whose
+draw ridges the uncentred Gram fails there on a Gram that is not
+positive definite, and the case prints that labelled failure message),
+and on p = 56 data scaled by 1e-4, where the ridge outweighs the data's
+own spread; pmm
 where donor ties are heavy (intercept-only quickpred models, so every
 prediction ties, and every strategy on columns coded 1..3);
 the pre-pass alone (``engine._prepass_complete``, under the label of the
@@ -141,7 +143,8 @@ def run_cases():
     wide["56-shifted"] = pcimpute.IncompleteData(
         wide[56].values + 1e6, wide[56].mask, wide[56].names, wide[56].roles
     )
-    # Location and scale cases for a centred draw and a relative ridge.
+    # Location and scale cases: the centred draw is shift-equivariant; an
+    # absolute ridge is not scale-equivariant.
     wide["56-shifted-3e7"] = pcimpute.IncompleteData(
         wide[56].values + 3e7, wide[56].mask, wide[56].names, wide[56].roles
     )
@@ -170,6 +173,7 @@ def run_cases():
                 try:
                     result = pcimpute.run_impute(spec, wide[p])
                 except ValueError as err:
+                    # Only a tree with an uncentred draw fails here.
                     if p != "56-shifted-3e7":
                         raise
                     yield name, f"raises {err}"
