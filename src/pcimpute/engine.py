@@ -63,7 +63,6 @@ from .imputers import (
     draw_linear_params,
     draw_predictive,
     pmm_impute,
-    ridged_gram,
 )
 from .pca import RunningCorrelation, max_components, pca
 
@@ -539,8 +538,9 @@ class _Design:
         self.x_obs[:, border] = observed - centres
         self.x_mis[:, border] = values[~self.observed] - centres
         # The refresh costs O(n r b) against the full product's O(n r^2 / 2).
+        # Both read the stored columns, which are centred already.
         if rebuild or 2 * border.size >= width:
-            self.gram = ridged_gram(self.x_obs, plan.spec.ridge)
+            self.gram = self.x_obs.T @ self.x_obs + plan.spec.ridge * np.eye(width)
         elif border.size:
             _refresh_gram(self.gram, self.x_obs, border, plan.spec.ridge)
 

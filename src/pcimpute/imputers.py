@@ -58,22 +58,18 @@ def ridged_gram(x: np.ndarray, ridge: float = DEFAULT_RIDGE) -> np.ndarray:
     intercept is estimated apart from them and is never ridged.
     """
     x = np.asarray(x, dtype=float)
-    centred = x - _column_means(x)
+    centred = x - x.mean(axis=0)
     return centred.T @ centred + ridge * np.eye(x.shape[1])
 
 
-def _column_means(x: np.ndarray) -> np.ndarray:
-    # A BLAS product: numpy's reduction along the rows is slow on narrow matrices.
-    return np.ones(x.shape[0]) @ x / x.shape[0]
-
-
 def _solve(x: np.ndarray, y: np.ndarray, ridge: float, gram: np.ndarray | None):
-    """The ridged fit of ``y ~ 1 + x`` on centred predictors.
+    """The ridged slopes of ``y ~ 1 + x`` on centred predictors.
 
-    Returns ``(coefficients, means, lower)``: the intercept in ``x``'s own
-    coordinates, ``mean(y) - means @ slopes``, then the slopes; the
-    predictors' column means; and the lower Cholesky factor of ``gram``
-    (``ridged_gram(x, ridge)`` when None).
+    Returns ``(slopes, lower)``, where ``lower`` is the lower Cholesky
+    factor of ``gram`` (``ridged_gram(x, ridge)`` when None).  No column
+    mean of ``x`` is formed: the unridged intercept in ``x``'s own
+    coordinates, ``mean(y) - mean(x) @ slopes``, is the mean of
+    ``y - x @ slopes``, which the callers form anyway.
     """
     if x.shape[0] != y.shape[0]:
         raise ValueError("predictor and outcome row counts differ")
@@ -93,16 +89,14 @@ def _solve(x: np.ndarray, y: np.ndarray, ridge: float, gram: np.ndarray | None):
         raise np.linalg.LinAlgError(
             f"ridged Gram is not positive definite (leading minor {info} of {gram.shape[0]})"
         )
-    y_mean = y.mean()
     # The centred outcome sums to zero, so x' (y - mean) is the centred cross product.
     # LAPACK refuses the empty system of an intercept-only model.
-    slopes = dpotrs(lower, x.T @ (y - y_mean), lower=1)[0] if x.shape[1] else np.empty(0)
+    slopes = dpotrs(lower, x.T @ (y - y.sum() / y.size), lower=1)[0] if x.shape[1] else np.empty(0)
     # The inputs are finite, so a non-finite factor or solution can only come
     # from products that overflowed; one O(r) check covers both.
     if not np.isfinite(slopes).all():
         raise ValueError("non-finite regression coefficients: X'X or X'y overflowed")
-    means = _column_means(x)
-    return np.append(y_mean - means @ slopes, slopes), means, lower
+    return slopes, lower
 
 
 def _inputs(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -120,8 +114,9 @@ def ridged_least_squares(x: np.ndarray, y: np.ndarray, ridge: float = DEFAULT_RI
     cholesky_factor)``, the intercept first, where the factor is the lower
     Cholesky triangle of ``ridged_gram(x, ridge)``, zero above it.
     """
-    coefficients, _, lower = _solve(*_inputs(x, y), ridge, None)
-    return coefficients, lower
+    x, y = _inputs(x, y)
+    slopes, lower = _solve(x, y, ridge, None)
+    return np.append((y - x @ slopes).mean(), slopes), lower
 
 
 def draw_linear_params(
@@ -164,17 +159,20 @@ def draw_linear_params(
             f"overparameterized imputation model: {r} predictors with "
             f"{n_obs} observed cases leaves {df} degrees of freedom"
         )
-    coefficients, means, lower = _solve(x_obs, y_obs, ridge, gram)
-    residuals = y_obs - coefficients[0] - x_obs @ coefficients[1:]
+    slopes, lower = _solve(x_obs, y_obs, ridge, gram)
+    offsets = y_obs - x_obs @ slopes
+    residuals = offsets - offsets.sum() / n_obs
     sigma2 = float(residuals @ residuals) / rng.chisquare(df)
     noise = rng.standard_normal(r + 1)
     # An exact fit draws sigma 0; the floor keeps the residual SD positive.
     residual_sd = max(float(np.sqrt(sigma2)), float(np.finfo(float).tiny))
-    # The slopes move by L^-T z[1:] (no solve without predictors); the intercept
-    # of the centred predictors by z[0] / sqrt(n), less the slopes' move at the means.
+    # The slopes move by L^-T z[1:] (no solve without predictors).
     shift = dtrtrs(lower, noise[1:], lower=1, trans=1)[0] if r else noise[1:]
-    drawn = coefficients + residual_sd * np.append(noise[0] / np.sqrt(n_obs) - means @ shift, shift)
-    return LinearModelDraw(coefficients=drawn, residual_sd=residual_sd)
+    drawn = slopes + residual_sd * shift
+    # On centred predictors the intercept is mean(y) + sigma z[0] / sqrt(n); in
+    # x_obs's coordinates it is less mean(x) @ drawn, which is mean(y - x @ drawn).
+    intercept = (y_obs - x_obs @ drawn).sum() / n_obs + residual_sd * noise[0] / np.sqrt(n_obs)
+    return LinearModelDraw(np.concatenate(([intercept], drawn)), residual_sd)
 
 
 def draw_predictive(

@@ -80,22 +80,12 @@ class TestImputationSpec:
             ("n_components", True, "n_components must be a positive integer or 'max'"),
             ("seed", True, "seed must be a non-negative integer, got True"),
             ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+            ("ridge", float("inf"), "ridge must be nonnegative and finite, got inf"),
+            ("ridge", float("nan"), "ridge must be nonnegative and finite, got nan"),
         ],
     )
     def test_mistyped_values_rejected(self, field, value, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            ImputationSpec(strategy=STRATEGY_VBV, **{field: value})
-
-    @pytest.mark.parametrize(
-        ("field", "value", "message"),
-        [
-            ("ridge", float("inf"), r"ridge must be nonnegative and finite, got inf"),
-            ("ridge", float("nan"), r"ridge must be nonnegative and finite, got nan"),
-            ("corr_threshold", float("nan"), r"corr_threshold must lie in \[0, 1\]"),
-        ],
-    )
-    def test_non_finite_values_rejected(self, field, value, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ImputationSpec(strategy=STRATEGY_VBV, **{field: value})
 
     def test_negative_seed_rejected(self):

@@ -21,8 +21,8 @@ Run it from a checkout, naming the two ``src`` directories:
     python tools/paired_study.py ../parent/src src
 
 Each tree runs in a child process whose ``PYTHONPATH`` is that tree's
-``src`` alone.  With the default 60 replications and 2 workers the two
-trees take about 35 s together on 2 vCPUs.  Uses the standard library and numpy
+``src`` alone.  With its 60 replications and 2 workers the two trees
+take about 35 s together on 2 vCPUs.  Uses the standard library and numpy
 only; it does not replace the acceptance tier.
 """
 
@@ -39,10 +39,12 @@ from pathlib import Path
 import numpy as np
 
 SEED = 11
+REPS = 60
+WORKERS = 2
 FIELDS = ("estimate", "ci_lower", "ci_upper", "full_estimate")
 
 
-def emit(path: Path, reps: int, workers: int) -> None:
+def emit(path: Path) -> None:
     """Run the grid under the ``pcimpute`` on ``sys.path`` and write its estimates as JSON."""
     import pcimpute
 
@@ -54,9 +56,9 @@ def emit(path: Path, reps: int, workers: int) -> None:
     result = pcimpute.run_study(
         [pcimpute.SimulationCondition(n_rows=500)],
         methods,
-        reps=reps,
+        reps=REPS,
         seed=SEED,
-        workers=workers,
+        workers=WORKERS,
         settings=pcimpute.StudySettings(),
     )
     rows = [
@@ -66,11 +68,9 @@ def emit(path: Path, reps: int, workers: int) -> None:
     path.write_text(json.dumps({"rows": rows, "failures": result.failures}))
 
 
-def run_tree(src: str, out: Path, reps: int, workers: int) -> dict:
+def run_tree(src: str, out: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    command = [sys.executable, __file__, "--emit", str(out)]
-    command += ["--reps", str(reps), "--workers", str(workers)]
-    subprocess.run(command, env=env, check=True)
+    subprocess.run([sys.executable, __file__, "--emit", str(out)], env=env, check=True)
     return json.loads(out.read_text())
 
 
@@ -113,21 +113,16 @@ def compare(first: dict, second: dict) -> list[str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", metavar="SRC", help="the two src directories")
-    parser.add_argument("--reps", type=int, default=60, help="replications (default 60)")
-    parser.add_argument("--workers", type=int, default=2, help="worker processes (default 2)")
     parser.add_argument("--emit", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.emit is not None:
-        emit(args.emit, args.reps, args.workers)
+        emit(args.emit)
         return 0
     if len(args.trees) != 2:
         parser.error("name two src directories")
     with tempfile.TemporaryDirectory() as tmp:
-        runs = [
-            run_tree(src, Path(tmp) / f"tree{index}.json", args.reps, args.workers)
-            for index, src in enumerate(args.trees)
-        ]
-    print(f"first {args.trees[0]}, second {args.trees[1]}; {args.reps} replications, seed {SEED}")
+        runs = [run_tree(src, Path(tmp) / f"tree{i}.json") for i, src in enumerate(args.trees)]
+    print(f"first {args.trees[0]}, second {args.trees[1]}; {REPS} replications, seed {SEED}")
     for line in compare(*runs):
         print(line)
     return 0
