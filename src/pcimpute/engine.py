@@ -64,7 +64,7 @@ from .imputers import (
     draw_predictive,
     pmm_impute,
 )
-from .pca import RunningCorrelation, max_components, pca
+from .pca import RunningCorrelation, _is_a, max_components, pca
 
 logger = logging.getLogger(__name__)
 
@@ -83,11 +83,6 @@ STRATEGIES = (
 PCR_STRATEGIES = (STRATEGY_VBV, STRATEGY_ALL, STRATEGY_AUX)
 
 MAX_COMPONENTS = "max"
-
-
-def _is_a(value, kind) -> bool:
-    """``isinstance`` that refuses a bool, which Python counts as an integer."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -279,34 +274,12 @@ def quickpred_select(data: IncompleteData, target: int, threshold: float) -> np.
     return np.flatnonzero(_pairwise_select(data.values, data.mask, target) >= threshold)
 
 
-def _drop_constants(
-    working: np.ndarray,
-    column_ids: np.ndarray,
-    plan: _Plan,
-    spread: np.ndarray | None = None,
-) -> np.ndarray:
-    """Filter out columns that are constant in the current working matrix.
-
-    ``spread``, when given, holds every column's current max - min.  Each
-    dropped column is warned about once per run, by name.
-    """
-    if column_ids.size == 0:
-        return column_ids
-    if spread is None:
-        block = working[:, column_ids]
-        spread = block.max(axis=0) - block.min(axis=0)
-    else:
-        spread = spread[column_ids]
-    kept = column_ids[spread > 0.0]
-    if kept.size != column_ids.size:
-        dropped = [plan.data.names[j] for j in column_ids[spread == 0.0]]
-        fresh = [name for name in dropped if name not in plan.warned_drops]
-        if fresh:
-            plan.warned_drops.update(fresh)
-            logger.warning(
-                "%sdropping constant predictor column(s): %s", plan.stage, ", ".join(fresh)
-            )
-    return kept
+def _warn_dropped(plan: _Plan, column_ids: np.ndarray) -> None:
+    """Warn that ``column_ids`` sit out as constant predictors, once per run for each name."""
+    fresh = [plan.data.names[j] for j in column_ids if plan.data.names[j] not in plan.warned_drops]
+    if fresh:
+        plan.warned_drops.update(fresh)
+        logger.warning("%sdropping constant predictor column(s): %s", plan.stage, ", ".join(fresh))
 
 
 _NO_COLUMNS = np.empty(0, dtype=int)
@@ -319,10 +292,10 @@ class _Plan:
     counters.
 
     A visit's predictors are the target's ``raw`` columns that are not
-    constant, then the plan's ``scores``.  The pcr plans settle q during
-    set-up from their predictor budget: the width of the block their
-    components come from and each target's raw columns.  ``stage``
-    prefixes the run's warnings and errors (``"pre-pass "`` in the
+    constant on its observed rows, then the plan's ``scores``.  The pcr plans
+    settle q during set-up from their predictor budget: the width of the
+    block their components come from and each target's raw columns.
+    ``stage`` prefixes the run's warnings and errors (``"pre-pass "`` in the
     bootstrap chain of a fixed-score strategy), and each dropped constant
     column is warned about once per run.
     """
@@ -354,9 +327,17 @@ class _Plan:
         return self.fixed_scores
 
     def components(self, working, columns, running=None) -> np.ndarray | None:
-        """Component scores of ``working``'s non-constant ``columns``, or None if none is left."""
-        spread = None if running is None else running.spread
-        live = _drop_constants(working, columns, self, spread)
+        """Component scores of ``working``'s non-constant ``columns``, or None if none is left.
+
+        Standardizing reads every row, so a column sits out here only when
+        it is constant on all of them.
+        """
+        if running is None:
+            spread = np.ptp(working[:, columns], axis=0)
+        else:
+            spread = running.spread[columns]
+        _warn_dropped(self, columns[spread == 0.0])
+        live = columns[spread > 0.0]
         if live.size == 0:
             return None
         q = min(self.resolved_components, max_components(working.shape[0], live.size))
@@ -490,29 +471,34 @@ def _refresh_gram(gram: np.ndarray, x: np.ndarray, border: np.ndarray, ridge: fl
 class _Design:
     """One target's visit predictors on its observed and missing rows, and their ridged Gram.
 
-    Made at the target's first visit and kept on the plan, so every
-    chain and sweep shares it.  Its raw columns are the target's complete
-    raw columns that are not constant (checked here, once per run), then
-    all of its incomplete ones, in ascending order; the plan's scores
-    follow.  A later visit rewrites only the ``border``, the columns
-    that can change between visits (the incomplete raw columns, and
+    Made at the target's first visit and kept on the plan, so every chain
+    and sweep shares it.  A raw column that is constant on the target's
+    observed rows tells the draw nothing, so it sits out.  Its raw columns
+    are the target's complete raw columns that are not (checked here, once
+    per run, since they never change), then all of its incomplete ones, in
+    ascending order; the plan's scores follow.  ``fill`` checks the
+    incomplete ones on each visit's observed cells and marks those that are
+    constant in ``flat``.  A later visit rewrites only the ``border``, the
+    columns that can change between visits (the incomplete raw columns, and
     every score under ``pcr-vbv``), and refreshes their Gram rows and
-    columns; when the border is half the columns or more, the full
-    product is cheaper and replaces the Gram.  A width change (a
-    per-visit q that shrank) rebuilds it.  Every column is stored
-    centred on the target's observed rows (``x_mis`` with the same
-    centres), and a border column is centred again when it is
-    rewritten, so the draw sees no predictor's location.  It holds
-    n x r predictor cells and one r x r Gram.
+    columns; when the border is half the columns or more, the full product
+    is cheaper and replaces the Gram.  A width change (a per-visit q that
+    shrank) rebuilds it.  Every column is stored centred on the target's
+    observed rows (``x_mis`` with the same centres), and a border column is
+    centred again when it is rewritten, so the draw sees no predictor's
+    location.  It holds n x r predictor cells and one r x r Gram.
     """
 
     def __init__(self, plan: _Plan, target: int) -> None:
         raw = plan.raw.get(target, _NO_COLUMNS)
-        complete = plan.data.mask[:, raw].all(axis=0)
-        kept = _drop_constants(plan.data.values, raw[complete], plan)
-        self.columns = np.union1d(kept, raw[~complete])
-        self.moving = np.flatnonzero(~plan.data.mask[:, self.columns].all(axis=0))
         self.observed = plan.data.mask[:, target]
+        complete = plan.data.mask[:, raw].all(axis=0)
+        held = raw[complete]
+        flat = np.ptp(plan.data.values[np.ix_(self.observed, held)], axis=0) == 0.0
+        _warn_dropped(plan, held[flat])
+        self.columns = np.union1d(held[~flat], raw[~complete])
+        self.moving = np.flatnonzero(~plan.data.mask[:, self.columns].all(axis=0))
+        self.flat = np.zeros(self.columns.size, dtype=bool)
         self.gram: np.ndarray | None = None
 
     def fill(self, plan: _Plan, working: np.ndarray, scores: np.ndarray | None) -> None:
@@ -528,10 +514,12 @@ class _Design:
             border = np.concatenate([self.moving, np.arange(n_raw, width)])
         else:
             border = self.moving
-        values = working[:, self.columns[border[border < n_raw]]]
+        raw_border = border[border < n_raw]
+        values = working[:, self.columns[raw_border]]
         if border.size > values.shape[1]:
             values = np.hstack([values, scores])
         observed = values[self.observed]
+        self.flat[raw_border] = np.ptp(observed[:, : raw_border.size], axis=0) == 0.0
         # Each centre sums its column's own contiguous cells, so it does not
         # depend on how many columns the border holds.
         centres = np.ascontiguousarray(observed.T).mean(axis=1)
@@ -556,7 +544,8 @@ def build_predictors(
     ``working`` must be a complete matrix holding current draws in the
     missing cells, and ``state`` the chain's ``plan.new_chain`` state.
     The predictors are the target's raw columns under ``plan`` that are
-    not constant in ``working``, followed by the plan's component scores,
+    not constant on its observed rows of ``working`` (``_Design`` decides
+    which), followed by the plan's component scores,
     on the target's observed rows (``x_obs``) and missing rows
     (``x_mis``), each centred on its mean over the observed rows;
     ``gram`` is ``ridged_gram(x_obs, plan.spec.ridge)`` up to rounding.
@@ -566,13 +555,12 @@ def build_predictors(
     design = plan.designs.get(target)
     if design is None:
         design = plan.designs[target] = _Design(plan, target)
-    moving = design.columns[design.moving]
-    live = _drop_constants(working, moving, plan)
-    dead = _NO_COLUMNS if live.size == moving.size else design.moving[~np.isin(moving, live)]
     design.fill(plan, working, plan.scores(working, target, state))
+    dead = np.flatnonzero(design.flat)
     if dead.size == 0:
         return design.x_obs, design.x_mis, design.gram
-    # A moving column that is constant at this visit sits out this visit only.
+    _warn_dropped(plan, design.columns[dead])
+    # A moving column that is flat at this visit sits out this visit only.
     keep = np.delete(np.arange(design.x_obs.shape[1]), dead)
     return design.x_obs[:, keep], design.x_mis[:, keep], design.gram[np.ix_(keep, keep)]
 

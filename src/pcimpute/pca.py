@@ -12,6 +12,7 @@ runs on identical input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -24,11 +25,27 @@ ENUMERATION_METHODS = {
 }
 
 
+def _is_a(value, kind) -> bool:
+    """``isinstance`` that refuses a bool, which Python counts as an integer."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _centres_and_scales(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's mean and sample SD over axis 0; a constant column
+    (max == min) gets its own value and 1.0, so it centres to exact zeros
+    even where its mean rounds off that value."""
+    flat = np.ptp(values, axis=0) == 0.0
+    centres = np.where(flat, values[0], values.mean(axis=0))
+    scales = values.std(axis=0, ddof=1)
+    return centres, np.where(flat | (scales == 0.0), 1.0, scales)
+
+
 def standardize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Center each column and divide by its sample standard deviation.
 
-    Returns ``(standardized, centers, scales)``.  Constant columns get a
-    scale of 1.0 and therefore standardize to all zeros.
+    Returns ``(standardized, centers, scales)``.  A constant column gets
+    its own value as center and a scale of 1.0, so it standardizes to
+    exact zeros.
 
     Raises
     ------
@@ -42,9 +59,7 @@ def standardize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         raise ValueError("standardize needs at least two rows")
     if not np.isfinite(matrix).all():
         raise ValueError("matrix must be finite")
-    centers = matrix.mean(axis=0)
-    scales = matrix.std(axis=0, ddof=1)
-    scales = np.where(scales == 0.0, 1.0, scales)
+    centers, scales = _centres_and_scales(matrix)
     return (matrix - centers) / scales, centers, scales
 
 
@@ -127,8 +142,7 @@ class RunningCorrelation:
     def refresh(self, matrix: np.ndarray, column: int) -> None:
         """Bring column ``column`` up to date with ``matrix[:, column]``."""
         values = matrix[:, column]
-        center = values.mean()
-        scale = values.std(ddof=1) or 1.0
+        center, scale = _centres_and_scales(values)
         self.standardized[:, column] = (values - center) / scale
         self.spread[column] = np.ptp(values)
         row = self.standardized.T @ self.standardized[:, column] / (matrix.shape[0] - 1)
@@ -286,6 +300,8 @@ class EnumerationRule:
     def __post_init__(self) -> None:
         if self.method not in ENUMERATION_METHODS:
             raise ValueError(f"unknown enumeration method {self.method!r}")
+        if not _is_a(self.replicates, Integral):
+            raise ValueError(f"replicates must be an integer, got {self.replicates!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
         if not 0.0 < self.quantile < 1.0:

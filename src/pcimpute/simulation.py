@@ -34,9 +34,9 @@ from .engine import (
     PCR_STRATEGIES,
     ImputationSpec,
     StudySettings,
-    _is_a,
     run_impute,
 )
+from .pca import _is_a
 from .pooling import analyze_set, estimate_parameter, moment_parameter_ids
 
 ANCHOR_ITEMS = 8  # items on the first factor: 4 analysis targets + 4 MAR predictors

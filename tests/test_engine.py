@@ -654,7 +654,11 @@ class TestCachedDesign:
                 gap = ~data.mask[:, j]
                 working[gap, j] = rng.standard_normal(int(gap.sum()))
 
-    def test_incomplete_predictor_turning_constant_sits_out_one_visit(self, caplog):
+    # off_target 0.0: x3 is constant on every row when fill is 1.5; 1.0: its
+    # cells on x1's missing rows differ then, so it is constant on x1's
+    # observed rows only, which tell the draw as little.
+    @pytest.mark.parametrize("off_target", [0.0, 1.0])
+    def test_incomplete_predictor_turning_constant_sits_out_one_visit(self, caplog, off_target):
         data = make_incomplete(seed=91, n_analysis=3)
         values = data.values.copy()
         values[data.mask[:, 2], 2] = 1.5  # x3's observed cells are all alike
@@ -662,18 +666,22 @@ class TestCachedDesign:
         plan = self._plan(data)
         working = initialize_fill(data, np.random.default_rng(0))
         gap = ~data.mask[:, 2]
+        observed = data.mask[:, 0]
+        assert (gap & observed).any() and (gap & ~observed).any()
         widths = []
         with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
             for fill in (1.5, 2.5, 1.5, 0.5):
                 working[gap, 2] = fill
                 working[np.flatnonzero(gap)[0], 2] = 1.5  # constant only when fill is 1.5
+                working[gap & ~observed, 2] += off_target
+                assert np.ptp(working[:, 2]) > 0 or off_target == 0.0
                 x_obs, x_mis, gram = engine.build_predictors(plan, working, 0)
                 widths.append(x_obs.shape[1])
-                live = [j for j in plan.raw[0] if np.ptp(working[:, j]) > 0]
+                live = [j for j in plan.raw[0] if np.ptp(working[observed, j]) > 0]
                 gathered = working[:, live]
-                centred = _centred(gathered, data.mask[:, 0])
-                np.testing.assert_array_equal(x_obs, centred[data.mask[:, 0]])
-                np.testing.assert_array_equal(x_mis, centred[~data.mask[:, 0]])
+                centred = _centred(gathered, observed)
+                np.testing.assert_array_equal(x_obs, centred[observed])
+                np.testing.assert_array_equal(x_mis, centred[~observed])
                 np.testing.assert_allclose(gram, ridged_gram(x_obs), rtol=0, atol=1e-9)
         assert widths == [4, 5, 4, 5]
         messages = [rec.message for rec in caplog.records]
@@ -684,21 +692,62 @@ class TestCachedDesign:
         values = data.values.copy()
         values[:, 4] = 4.0
         data = IncompleteData(values, data.mask, data.names, data.roles)
-        checked = []
-        drop = engine._drop_constants
+        dropped, designs = [], []
+        warn = engine._warn_dropped
 
-        def record(working, column_ids, plan, spread=None):
-            checked.append(column_ids.tolist())
-            return drop(working, column_ids, plan, spread)
+        def record(plan, column_ids):
+            dropped.append(column_ids.tolist())
+            warn(plan, column_ids)
 
-        monkeypatch.setattr(engine, "_drop_constants", record)
+        class RecordedDesign(engine._Design):
+            def __init__(self, plan, target):
+                super().__init__(plan, target)
+                designs.append(self)
+
+        monkeypatch.setattr(engine, "_warn_dropped", record)
+        monkeypatch.setattr(engine, "_Design", RecordedDesign)
         spec = _spec(STRATEGY_QUICKPRED, corr_threshold=0.0, chains=2, iterations=3)
         with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
             run_impute(spec, data)
-        # Once per target (x1 and x2), for the whole run; never again per visit.
-        assert sum(4 in ids for ids in checked) == 2
+        # Once per target (x1 and x2), for the whole run, as its design is
+        # made; it is in neither design, so no visit checks it again.
+        assert len(designs) == 2 and sum(4 in ids for ids in dropped) == 2
+        assert all(4 not in design.columns for design in designs)
         messages = [rec.message for rec in caplog.records]
         assert messages == ["dropping constant predictor column(s): x5"]
+
+    # x2 is 1.0 wherever x1 is observed and N(0, 1) where x1 is missing:
+    # it passes the quickpred screen through x1's missingness, but left
+    # in, its slope would be drawn from the ridge alone (SD sigma/sqrt(ridge)).
+    @pytest.mark.parametrize("imputer", IMPUTER_KINDS)
+    @pytest.mark.parametrize("strategy", [STRATEGY_QUICKPRED, STRATEGY_ORACLE])
+    def test_predictor_constant_on_observed_rows_sits_out(
+        self, caplog, monkeypatch, strategy, imputer
+    ):
+        rng = np.random.default_rng(0)
+        x3 = rng.standard_normal(200)
+        x1 = x3 + 0.5 * rng.standard_normal(200)
+        gap = rng.random(200) < 0.3
+        x2 = np.where(gap, rng.standard_normal(200), 1.0)
+        values = np.column_stack([np.where(gap, np.nan, x1), x2, x3])
+        data = IncompleteData.from_matrix(values).with_roles(analysis=["x1", "x3"], mar=["x2"])
+        visits = []
+        build = engine.build_predictors
+
+        def record(plan, working, target, state=None):
+            predictors = build(plan, working, target, state)
+            design = plan.designs[target]
+            visits.append(design.columns[~design.flat].tolist())
+            return predictors
+
+        monkeypatch.setattr(engine, "build_predictors", record)
+        with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
+            result = run_impute(_spec(strategy, imputer=imputer), data)
+        messages = [rec.message for rec in caplog.records]
+        assert messages == ["dropping constant predictor column(s): x2"]
+        assert visits == [[2]] * 2 * 3
+        for completion in result.completions:
+            assert np.std(completion[gap, 0]) < 3 * np.std(x1[~gap])
 
 
 def _record_running_pca(monkeypatch):
@@ -755,9 +804,10 @@ class TestVbvRunningPca:
         state.refresh(working, 9)
         with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
             plan = engine._VbvPlan(_spec(STRATEGY_VBV, n_components=7), wide)
-            live = engine._drop_constants(working, every, plan, state.spread)
-        assert 9 not in live and any(wide.names[9] in rec.message for rec in caplog.records)
-        scores = pca(working, 7, columns=live, running=state).scores
+            scores = plan.components(working, every, state)
+        live = every[every != 9]
+        assert set(state.solved) == {every.tobytes(), live.tobytes()}
+        assert any(wide.names[9] in rec.message for rec in caplog.records)
         assert state.solved[live.tobytes()].warm_steps == 0
         np.testing.assert_allclose(scores, pca(working[:, live], 7).scores, atol=1e-8)
 

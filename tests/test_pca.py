@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,21 @@ class TestStandardize:
         z, _, scales = standardize(x)
         assert scales[0] == 1.0
         np.testing.assert_array_equal(z[:, 0], 0.0)
+
+    @pytest.mark.parametrize("value", [0.1, 7.7, 1e6 + 0.1])
+    def test_constant_column_is_exact_zeros_where_its_mean_rounds(self, value):
+        # 30 copies of these sum to a mean one ulp off the value, so a
+        # centred column of rounding errors must not be divided by their SD.
+        x = np.column_stack([np.full(30, value), np.arange(30.0)])
+        z, centers, scales = standardize(x)
+        assert centers[0] == value and scales[0] == 1.0
+        np.testing.assert_array_equal(z[:, 0], 0.0)
+        assert correlation_eigenvalues(x)[-1] == 0.0
+        result = pca(x, 2)
+        assert result.eigenvalues[-1] == 0.0
+        np.testing.assert_allclose(
+            result.scores.var(axis=0, ddof=1), result.eigenvalues, rtol=0, atol=1e-12
+        )
 
     def test_single_row_rejected(self):
         with pytest.raises(ValueError, match="two rows"):
@@ -144,6 +161,16 @@ class TestRunningPca:
         np.testing.assert_allclose(running.standardized, fresh.standardized, atol=1e-12)
         np.testing.assert_allclose(running.correlation, fresh.correlation, atol=1e-12)
         np.testing.assert_array_equal(running.correlation, running.correlation.T)
+
+    @pytest.mark.parametrize("value", [0.1, 7.7, 1e6 + 0.1])
+    def test_refresh_to_a_constant_column_gives_exact_zeros(self, value):
+        x = _factor_matrix(1)
+        running = RunningCorrelation.of(x)
+        x[:, 5] = value
+        running.refresh(x, 5)
+        np.testing.assert_array_equal(running.standardized[:, 5], 0.0)
+        np.testing.assert_array_equal(running.correlation[5], 0.0)
+        assert running.spread[5] == 0.0
 
     def test_block_selection_is_bit_identical(self):
         x = _factor_matrix(3)
@@ -260,6 +287,12 @@ class TestEnumerationRules:
             EnumerationRule("elbow")
         with pytest.raises(ValueError, match="quantile"):
             EnumerationRule("parallel-analysis", quantile=1.5)
+
+    @pytest.mark.parametrize("replicates", [2.5, True, "100"])
+    def test_rule_refuses_non_integer_replicates(self, replicates):
+        message = f"replicates must be an integer, got {replicates!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EnumerationRule("parallel-analysis", replicates=replicates)
 
     def test_enumerate_components_dispatch(self):
         x = _random_matrix(19, n_rows=100, n_cols=5)

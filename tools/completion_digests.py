@@ -18,7 +18,13 @@ centres its predictors and leaves the intercept unridged (a tree whose
 draw ridges the uncentred Gram fails there on a Gram that is not
 positive definite, and the case prints that labelled failure message),
 and on p = 56 data scaled by 1e-4, where the ridge outweighs the data's
-own spread; pmm
+own spread; quickpred (threshold 0) and oracle on p = 56 data whose
+complete column x5 is constant on every row, and on p = 56 data whose x5
+is constant on x1's observed rows only (it sits out of x1's draw, which
+reads those rows; this case differs by design from a tree that decides
+a predictor's liveness on all rows, where x5's slope in x1's draw comes
+from the ridge alone: there x1's bayesian-normal imputations have an
+SD near 300 against an observed SD of 2.5); pmm
 where donor ties are heavy (intercept-only quickpred models, so every
 prediction ties, and every strategy on columns coded 1..3);
 the pre-pass alone (``engine._prepass_complete``, under the label of the
@@ -185,6 +191,32 @@ def run_cases():
                     np.asarray(means),
                     np.asarray(info),
                 ]
+
+    # x5, a complete missingness predictor, constant on every row: it sits
+    # out under any liveness rule.  Then x5 at 1.0 on x1's observed rows and
+    # N(0, 1) on its missing rows: it sits out of x1's draw only where the
+    # rule reads the target's observed rows.  A tree whose rule reads all
+    # rows keeps it there and draws its slope from the ridge alone, so that
+    # case differs from such a tree by design.
+    base = wide[56]
+    everywhere = base.values.copy()
+    everywhere[:, 4] = 0.1
+    on_observed = base.values.copy()
+    x1_gap = ~base.mask[:, 0]
+    noise = np.random.default_rng(8).standard_normal(x1_gap.size)
+    on_observed[:, 4] = np.where(x1_gap, noise, 1.0)
+    flat = (("56-x5-constant", everywhere), ("56-x5-flat-on-x1-observed", on_observed))
+    for label, values in flat:
+        data = pcimpute.IncompleteData(values, base.mask, base.names, base.roles)
+        for strategy, options in (("quickpred", {"corr_threshold": 0.0}), ("oracle", {})):
+            for imputer in IMPUTERS:
+                spec = pcimpute.ImputationSpec(
+                    strategy=strategy, imputer=imputer, chains=3, iterations=5, seed=11, **options
+                )
+                result = pcimpute.run_impute(spec, data)
+                means = [record.imputed_mean for record in result.trace]
+                name = f"run_impute p={label} {strategy} {imputer}"
+                yield name, [*result.completions, np.asarray(means)]
 
     # pmm under heavy ties: intercept-only quickpred models give every row the same
     # predicted mean, and integer-coded columns give few distinct ones.
