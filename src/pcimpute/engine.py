@@ -519,10 +519,14 @@ class _Design:
         if border.size > values.shape[1]:
             values = np.hstack([values, scores])
         observed = values[self.observed]
-        self.flat[raw_border] = np.ptp(observed[:, : raw_border.size], axis=0) == 0.0
         # Each centre sums its column's own contiguous cells, so it does not
-        # depend on how many columns the border holds.
-        centres = np.ascontiguousarray(observed.T).mean(axis=1)
+        # depend on how many columns the border holds.  The flat check reads
+        # the same copy: a row-major block's rows are slow to reduce.
+        by_column = np.ascontiguousarray(observed.T)
+        centres = by_column.mean(axis=1)
+        if raw_border.size:
+            self.flat[raw_border] = np.ptp(by_column[: raw_border.size], axis=1) == 0.0
+        del by_column  # n x r cells on a rebuild, freed before the Gram is built
         self.x_obs[:, border] = observed - centres
         self.x_mis[:, border] = values[~self.observed] - centres
         # The refresh costs O(n r b) against the full product's O(n r^2 / 2).

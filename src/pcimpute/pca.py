@@ -30,11 +30,11 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _centres_and_scales(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _centres_and_scales(values: np.ndarray, spread: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each column's mean and sample SD over axis 0; a constant column
-    (max == min) gets its own value and 1.0, so it centres to exact zeros
-    even where its mean rounds off that value."""
-    flat = np.ptp(values, axis=0) == 0.0
+    (``spread``, its max - min, is 0) gets its own value and 1.0, so it
+    centres to exact zeros even where its mean rounds off that value."""
+    flat = spread == 0.0
     centres = np.where(flat, values[0], values.mean(axis=0))
     scales = values.std(axis=0, ddof=1)
     return centres, np.where(flat | (scales == 0.0), 1.0, scales)
@@ -59,7 +59,7 @@ def standardize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         raise ValueError("standardize needs at least two rows")
     if not np.isfinite(matrix).all():
         raise ValueError("matrix must be finite")
-    centers, scales = _centres_and_scales(matrix)
+    centers, scales = _centres_and_scales(matrix, np.ptp(matrix, axis=0))
     return (matrix - centers) / scales, centers, scales
 
 
@@ -142,9 +142,9 @@ class RunningCorrelation:
     def refresh(self, matrix: np.ndarray, column: int) -> None:
         """Bring column ``column`` up to date with ``matrix[:, column]``."""
         values = matrix[:, column]
-        center, scale = _centres_and_scales(values)
+        self.spread[column] = spread = np.ptp(values)
+        center, scale = _centres_and_scales(values, spread)
         self.standardized[:, column] = (values - center) / scale
-        self.spread[column] = np.ptp(values)
         row = self.standardized.T @ self.standardized[:, column] / (matrix.shape[0] - 1)
         self.correlation[column, :] = row
         self.correlation[:, column] = row

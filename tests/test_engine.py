@@ -654,38 +654,39 @@ class TestCachedDesign:
                 gap = ~data.mask[:, j]
                 working[gap, j] = rng.standard_normal(int(gap.sum()))
 
-    # off_target 0.0: x3 is constant on every row when fill is 1.5; 1.0: its
-    # cells on x1's missing rows differ then, so it is constant on x1's
-    # observed rows only, which tell the draw as little.
-    @pytest.mark.parametrize("off_target", [0.0, 1.0])
-    def test_incomplete_predictor_turning_constant_sits_out_one_visit(self, caplog, off_target):
+    def test_incomplete_predictor_turning_constant_sits_out_one_visit(self, caplog):
         data = make_incomplete(seed=91, n_analysis=3)
         values = data.values.copy()
         values[data.mask[:, 2], 2] = 1.5  # x3's observed cells are all alike
         data = IncompleteData(values, data.mask, data.names, data.roles)
-        plan = self._plan(data)
-        working = initialize_fill(data, np.random.default_rng(0))
         gap = ~data.mask[:, 2]
         observed = data.mask[:, 0]
         assert (gap & observed).any() and (gap & ~observed).any()
-        widths = []
-        with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
-            for fill in (1.5, 2.5, 1.5, 0.5):
-                working[gap, 2] = fill
-                working[np.flatnonzero(gap)[0], 2] = 1.5  # constant only when fill is 1.5
-                working[gap & ~observed, 2] += off_target
-                assert np.ptp(working[:, 2]) > 0 or off_target == 0.0
-                x_obs, x_mis, gram = engine.build_predictors(plan, working, 0)
-                widths.append(x_obs.shape[1])
-                live = [j for j in plan.raw[0] if np.ptp(working[observed, j]) > 0]
-                gathered = working[:, live]
-                centred = _centred(gathered, observed)
-                np.testing.assert_array_equal(x_obs, centred[observed])
-                np.testing.assert_array_equal(x_mis, centred[~observed])
-                np.testing.assert_allclose(gram, ridged_gram(x_obs), rtol=0, atol=1e-9)
-        assert widths == [4, 5, 4, 5]
-        messages = [rec.message for rec in caplog.records]
-        assert messages == ["dropping constant predictor column(s): x3"]
+        # off_target 0.0: x3 is constant on every row when fill is 1.5; 1.0:
+        # its cells on x1's missing rows differ then, so it is constant on
+        # x1's observed rows only, which tell x1's draw as little.
+        for off_target in (0.0, 1.0):
+            plan = self._plan(data)
+            working = initialize_fill(data, np.random.default_rng(0))
+            widths = []
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
+                for fill in (1.5, 2.5, 1.5, 0.5):
+                    working[gap, 2] = fill
+                    working[np.flatnonzero(gap)[0], 2] = 1.5  # constant only when fill is 1.5
+                    working[gap & ~observed, 2] += off_target
+                    assert np.ptp(working[:, 2]) > 0 or off_target == 0.0
+                    x_obs, x_mis, gram = engine.build_predictors(plan, working, 0)
+                    widths.append(x_obs.shape[1])
+                    live = [j for j in plan.raw[0] if np.ptp(working[observed, j]) > 0]
+                    gathered = working[:, live]
+                    centred = _centred(gathered, observed)
+                    np.testing.assert_array_equal(x_obs, centred[observed])
+                    np.testing.assert_array_equal(x_mis, centred[~observed])
+                    np.testing.assert_allclose(gram, ridged_gram(x_obs), rtol=0, atol=1e-9)
+            assert widths == [4, 5, 4, 5]
+            messages = [rec.message for rec in caplog.records]
+            assert messages == ["dropping constant predictor column(s): x3"]
 
     def test_constant_complete_predictor_is_checked_once(self, caplog, monkeypatch):
         data = make_incomplete(seed=93)
