@@ -7,19 +7,33 @@ runtime failures such as unreadable inputs or a failed imputation.
 
 from __future__ import annotations
 
-import argparse
-import csv
-import itertools
-import json
-import logging
-import sys
-from dataclasses import fields
-from pathlib import Path
+import os
 
-import numpy as np
+# A command's draws are products too small for a second OpenBLAS thread to
+# speed up, and an idle worker still spins.  OpenBLAS reads this variable once,
+# as numpy or scipy loads it, so it is set before any import below; a count the
+# caller exported stands.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .data import DEFAULT_NA_TOKEN, _csv_template, complete_case_rows, load_csv, write_csv
-from .engine import (
+import argparse  # noqa: E402
+import csv  # noqa: E402
+import itertools  # noqa: E402
+import json  # noqa: E402
+import logging  # noqa: E402
+import sys  # noqa: E402
+from dataclasses import fields  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from .data import (  # noqa: E402
+    DEFAULT_NA_TOKEN,
+    _csv_template,
+    complete_case_rows,
+    load_csv,
+    write_csv,
+)
+from .engine import (  # noqa: E402
     MAX_COMPONENTS,
     PCR_STRATEGIES,
     STRATEGIES,
@@ -28,15 +42,15 @@ from .engine import (
     ImputationSpec,
     run_impute,
 )
-from .imputers import IMPUTER_BAYES, IMPUTER_KINDS, IMPUTER_PMM
-from .pca import (
+from .imputers import IMPUTER_BAYES, IMPUTER_KINDS, IMPUTER_PMM  # noqa: E402
+from .pca import (  # noqa: E402
     ENUMERATION_METHODS,
     EnumerationRule,
     correlation_eigenvalues,
     enumerate_components,
 )
-from .pooling import PARAMETER_KINDS, ParameterId, analyze_set
-from .simulation import (
+from .pooling import PARAMETER_KINDS, ParameterId, analyze_set  # noqa: E402
+from .simulation import (  # noqa: E402
     MethodSetting,
     SimulationCondition,
     StudySettings,

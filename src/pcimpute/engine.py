@@ -274,12 +274,23 @@ def quickpred_select(data: IncompleteData, target: int, threshold: float) -> np.
     return np.flatnonzero(_pairwise_select(data.values, data.mask, target) >= threshold)
 
 
-def _warn_dropped(plan: _Plan, column_ids: np.ndarray) -> None:
-    """Warn that ``column_ids`` sit out as constant predictors, once per run for each name."""
-    fresh = [plan.data.names[j] for j in column_ids if plan.data.names[j] not in plan.warned_drops]
-    if fresh:
-        plan.warned_drops.update(fresh)
-        logger.warning("%sdropping constant predictor column(s): %s", plan.stage, ", ".join(fresh))
+def _warn_dropped(plan: _Plan, column_ids: np.ndarray, target: int | None = None) -> None:
+    """Warn that ``column_ids`` sit out, once per run for each column and target.
+
+    With a ``target`` they are its raw predictors, constant on its observed
+    rows; without one, columns of the component block, constant on every row.
+    """
+    fresh = [j for j in column_ids.tolist() if (target, j) not in plan.warned_drops]
+    if not fresh:
+        return
+    plan.warned_drops.update((target, j) for j in fresh)
+    rule = (
+        "component-block column(s) constant on every row"
+        if target is None
+        else f"predictor column(s) constant on {plan.data.names[target]}'s observed rows"
+    )
+    names = ", ".join(plan.data.names[j] for j in fresh)
+    logger.warning("%sdropping %s: %s", plan.stage, rule, names)
 
 
 _NO_COLUMNS = np.empty(0, dtype=int)
@@ -296,8 +307,9 @@ class _Plan:
     settle q during set-up from their predictor budget: the width of the
     block their components come from and each target's raw columns.
     ``stage`` prefixes the run's warnings and errors (``"pre-pass "`` in the
-    bootstrap chain of a fixed-score strategy), and each dropped constant
-    column is warned about once per run.
+    bootstrap chain of a fixed-score strategy), and a dropped constant
+    column is warned about once per run for each target it sits out of
+    (``warned_drops``; the component block counts as one target).
     """
 
     raw: dict[int, np.ndarray]
@@ -310,7 +322,7 @@ class _Plan:
         self.stage = stage
         self.resolved_components: int | None = None
         self.pca_count = 0
-        self.warned_drops: set[str] = set()
+        self.warned_drops: set[tuple[int | None, int]] = set()
         self.designs: dict[int, _Design] = {}
         self.set_up()
 
@@ -495,7 +507,7 @@ class _Design:
         complete = plan.data.mask[:, raw].all(axis=0)
         held = raw[complete]
         flat = np.ptp(plan.data.values[np.ix_(self.observed, held)], axis=0) == 0.0
-        _warn_dropped(plan, held[flat])
+        _warn_dropped(plan, held[flat], target)
         self.columns = np.union1d(held[~flat], raw[~complete])
         self.moving = np.flatnonzero(~plan.data.mask[:, self.columns].all(axis=0))
         self.flat = np.zeros(self.columns.size, dtype=bool)
@@ -563,7 +575,7 @@ def build_predictors(
     dead = np.flatnonzero(design.flat)
     if dead.size == 0:
         return design.x_obs, design.x_mis, design.gram
-    _warn_dropped(plan, design.columns[dead])
+    _warn_dropped(plan, design.columns[dead], target)
     # A moving column that is flat at this visit sits out this visit only.
     keep = np.delete(np.arange(design.x_obs.shape[1]), dead)
     return design.x_obs[:, keep], design.x_mis[:, keep], design.gram[np.ix_(keep, keep)]

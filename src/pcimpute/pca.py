@@ -52,6 +52,12 @@ def standardize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     ValueError
         If the matrix has fewer than two rows or any non-finite entry.
     """
+    standardized, centers, scales, _ = _standardize(matrix)
+    return standardized, centers, scales
+
+
+def _standardize(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``standardize``'s result and each column's spread (max - min), from one pass."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-d matrix")
@@ -59,8 +65,9 @@ def standardize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         raise ValueError("standardize needs at least two rows")
     if not np.isfinite(matrix).all():
         raise ValueError("matrix must be finite")
-    centers, scales = _centres_and_scales(matrix, np.ptp(matrix, axis=0))
-    return (matrix - centers) / scales, centers, scales
+    spread = np.ptp(matrix, axis=0)
+    centers, scales = _centres_and_scales(matrix, spread)
+    return (matrix - centers) / scales, centers, scales, spread
 
 
 def max_components(n_rows: int, n_cols: int) -> int:
@@ -135,8 +142,7 @@ class RunningCorrelation:
 
     @classmethod
     def of(cls, matrix: np.ndarray) -> RunningCorrelation:
-        standardized, _, _ = standardize(matrix)
-        spread = np.ptp(matrix, axis=0)
+        standardized, _, _, spread = _standardize(matrix)
         return cls(standardized, _correlation(standardized), spread)
 
     def refresh(self, matrix: np.ndarray, column: int) -> None:

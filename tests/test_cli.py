@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import pcimpute
 from pcimpute.cli import main
 from pcimpute.data import load_csv, write_csv
+from pcimpute.engine import ImputationSpec, run_impute
 from pcimpute.pooling import ParameterId, estimate_parameter, rubin_pool
-from tests.helpers import make_incomplete
+from pcimpute.simulation import _blas_threads
+from tests.helpers import make_incomplete, study_dataset
 
 
 @pytest.fixture()
@@ -530,14 +535,7 @@ class TestEntryPoint:
 
     @staticmethod
     def _loaded_by_cli_import(module: str) -> str:
-        proc = subprocess.run(
-            [sys.executable, "-c", f"import sys, pcimpute.cli; print({module!r} in sys.modules)"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.strip()
+        return _child(f"import sys, pcimpute.cli; print({module!r} in sys.modules)")
 
     def test_import_leaves_scipy_stats_unloaded(self):
         assert self._loaded_by_cli_import("scipy.stats") == "False"
@@ -545,3 +543,109 @@ class TestEntryPoint:
     def test_import_leaves_scipy_special_unloaded(self):
         # Only pooling and the simulation need scipy.special; impute does neither.
         assert self._loaded_by_cli_import("scipy.special") == "False"
+
+    def test_package_import_loads_nothing(self):
+        loaded = _child(
+            "import os, sys, pcimpute; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('pcimpute.')), "
+            "os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        assert loaded == "[] None"
+
+    _THREAD_COUNTS = (
+        "import json, pcimpute.cli; "
+        "from pcimpute.simulation import _openblas_thread_controls; "
+        "print(json.dumps([get() for get, _ in _openblas_thread_controls()]))"
+    )
+
+    @pytest.mark.parametrize(("exported", "expected"), [(None, 1), ("2", 2)])
+    def test_cli_import_sets_one_openblas_thread_unless_exported(self, exported, expected):
+        counts = json.loads(_child(self._THREAD_COUNTS, exported))
+        if not counts:
+            pytest.skip("no OpenBLAS loaded")
+        assert counts == [expected] * len(counts)
+
+    def test_impute_writes_the_one_thread_bytes(self, tmp_path):
+        # p = 242, n = 120, pcr-vbv: under _blas_threads(2) these completions
+        # differ from the one-thread run in 243 cells, by up to 1.9e-14, so a
+        # command left on a two-thread pool would fail this comparison.
+        data, _, _ = study_dataset(1, n_rows=120, items_per_factor=39)
+        source = tmp_path / "input.csv"
+        write_csv(source, data.values, data.names)
+        argv = ["impute", "--input", str(source), "--method", "pcr-vbv", "--npc", "7",
+                "--imputer", "bayesian-normal", "--m", "2", "--maxit", "2", "--seed", "3",
+                "--out-dir", str(tmp_path / "cli"), "--out-prefix", "completed"]  # fmt: skip
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcimpute.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=_environment(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        spec = ImputationSpec(
+            strategy="pcr-vbv",
+            n_components=7,
+            imputer="bayesian-normal",
+            chains=2,
+            iterations=2,
+            seed=3,
+        )
+        loaded = load_csv(source)
+        with _blas_threads(1):
+            result = run_impute(spec, loaded)
+        for index, completion in enumerate(result.completions, start=1):
+            expected = tmp_path / f"expected_{index}.csv"
+            write_csv(expected, completion, loaded.names)
+            written = tmp_path / "cli" / f"completed_{index}.csv"
+            assert written.read_bytes() == expected.read_bytes()
+
+
+class TestLazyPackage:
+    def test_public_names_are_their_submodules_objects(self):
+        assert set(pcimpute._SUBMODULE) == set(pcimpute.__all__) - {"__version__"}
+        for name, module in pcimpute._SUBMODULE.items():
+            source = importlib.import_module(f"pcimpute.{module}")
+            assert getattr(pcimpute, name) is getattr(source, name), name
+
+    def test_pca_stays_the_function_once_its_submodule_loads(self):
+        # Importing pcimpute.cli above loaded pcimpute.pca, which binds the
+        # submodule on the package unless the package refuses it.
+        assert "pcimpute.pca" in sys.modules
+        from pcimpute import pca
+
+        assert pca is pcimpute.pca is sys.modules["pcimpute.pca"].pca
+
+    def test_dir_lists_every_public_name(self):
+        assert set(pcimpute.__all__) <= set(dir(pcimpute))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'pcimpute' has no attribute 'nothing'"):
+            pcimpute.nothing  # noqa: B018
+        with pytest.raises(ImportError, match="nothing"):
+            from pcimpute import nothing  # noqa: F401
+
+
+def _environment(threads: str | None = None) -> dict[str, str]:
+    """This process's environment with ``OPENBLAS_NUM_THREADS`` set to ``threads``, or unset.
+
+    Importing ``pcimpute.cli`` here set the variable for every child, so a
+    child that tests the default must not inherit it.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+def _child(code: str, threads: str | None = None) -> str:
+    """Stripped stdout of ``python -c code`` in ``_environment(threads)``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_environment(threads),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()

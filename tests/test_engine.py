@@ -686,7 +686,9 @@ class TestCachedDesign:
                     np.testing.assert_allclose(gram, ridged_gram(x_obs), rtol=0, atol=1e-9)
             assert widths == [4, 5, 4, 5]
             messages = [rec.message for rec in caplog.records]
-            assert messages == ["dropping constant predictor column(s): x3"]
+            assert messages == [
+                "dropping predictor column(s) constant on x1's observed rows: x3"
+            ]
 
     def test_constant_complete_predictor_is_checked_once(self, caplog, monkeypatch):
         data = make_incomplete(seed=93)
@@ -696,9 +698,9 @@ class TestCachedDesign:
         dropped, designs = [], []
         warn = engine._warn_dropped
 
-        def record(plan, column_ids):
+        def record(plan, column_ids, target=None):
             dropped.append(column_ids.tolist())
-            warn(plan, column_ids)
+            warn(plan, column_ids, target)
 
         class RecordedDesign(engine._Design):
             def __init__(self, plan, target):
@@ -711,11 +713,15 @@ class TestCachedDesign:
         with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
             run_impute(spec, data)
         # Once per target (x1 and x2), for the whole run, as its design is
-        # made; it is in neither design, so no visit checks it again.
+        # made; it is in neither design, so no visit checks it again.  Each
+        # target's draw loses it, so each target's warning names it.
         assert len(designs) == 2 and sum(4 in ids for ids in dropped) == 2
         assert all(4 not in design.columns for design in designs)
         messages = [rec.message for rec in caplog.records]
-        assert messages == ["dropping constant predictor column(s): x5"]
+        assert messages == [
+            "dropping predictor column(s) constant on x1's observed rows: x5",
+            "dropping predictor column(s) constant on x2's observed rows: x5",
+        ]
 
     # x2 is 1.0 wherever x1 is observed and N(0, 1) where x1 is missing:
     # it passes the quickpred screen through x1's missingness, but left
@@ -745,7 +751,7 @@ class TestCachedDesign:
         with caplog.at_level(logging.WARNING, logger="pcimpute.engine"):
             result = run_impute(_spec(strategy, imputer=imputer), data)
         messages = [rec.message for rec in caplog.records]
-        assert messages == ["dropping constant predictor column(s): x2"]
+        assert messages == ["dropping predictor column(s) constant on x1's observed rows: x2"]
         assert visits == [[2]] * 2 * 3
         for completion in result.completions:
             assert np.std(completion[gap, 0]) < 3 * np.std(x1[~gap])
