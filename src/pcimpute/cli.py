@@ -23,6 +23,7 @@ import logging  # noqa: E402
 import sys  # noqa: E402
 from dataclasses import fields  # noqa: E402
 from pathlib import Path  # noqa: E402
+from typing import TYPE_CHECKING  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -50,15 +51,11 @@ from .pca import (  # noqa: E402
     enumerate_components,
 )
 from .pooling import PARAMETER_KINDS, ParameterId, analyze_set  # noqa: E402
-from .simulation import (  # noqa: E402
-    MethodSetting,
-    SimulationCondition,
-    StudySettings,
-    check_run,
-    run_study,
-    write_estimates_csv,
-    write_metrics_csv,
-)
+
+# ``pcimpute.simulation`` (its process pool, ctypes) loads only in the functions
+# of the ``simulate`` command, which alone use it; these names annotate them.
+if TYPE_CHECKING:
+    from .simulation import MethodSetting, SimulationCondition
 
 logger = logging.getLogger(__name__)
 
@@ -220,6 +217,8 @@ def _load_config(path: str) -> dict:
 
 
 def _conditions_from_grid(grid: dict) -> list[SimulationCondition]:
+    from .simulation import SimulationCondition
+
     if not isinstance(grid, dict):
         raise UsageError("config section 'grid' must be an object")
     allowed = [f.name for f in fields(SimulationCondition)]
@@ -243,6 +242,8 @@ def _conditions_from_grid(grid: dict) -> list[SimulationCondition]:
 
 
 def _methods_from_config(raw) -> list[MethodSetting]:
+    from .simulation import MethodSetting
+
     if not isinstance(raw, list) or not raw:
         raise UsageError("config section 'methods' must be a non-empty list")
     methods = []
@@ -265,6 +266,14 @@ def _methods_from_config(raw) -> list[MethodSetting]:
 
 
 def cmd_simulate(args) -> int:
+    from .simulation import (
+        StudySettings,
+        check_run,
+        run_study,
+        write_estimates_csv,
+        write_metrics_csv,
+    )
+
     config = _load_config(args.config)
     conditions = _conditions_from_grid(config["grid"])
     if not conditions:

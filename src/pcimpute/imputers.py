@@ -22,10 +22,46 @@ exactly those of a stable sort of every gap.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+from types import ModuleType
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+
+
+def _load_flapack() -> ModuleType:
+    """scipy's LAPACK wrappers, the extension ``scipy.linalg._flapack``, without ``scipy.linalg``.
+
+    ``scipy.linalg.lapack`` re-exports this extension's routines, so these are
+    the same function objects, from the same library and its OpenBLAS.  But
+    importing them from there first runs ``scipy.linalg``'s package init,
+    which sets up the array API over numpy's namespace and so loads
+    ``numpy.f2py``, ``numpy.testing`` and more: over half of a command's
+    import time.  The extension is registered under its own name, so a later
+    ``import scipy.linalg`` reuses it.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy  # scipy's own platform set-up, which its extensions expect
+
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(
+            f"no {name} extension in {directory} (scipy {scipy.__version__})", name=name
+        )
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
 
 IMPUTER_BAYES = "bayesian-normal"
 IMPUTER_PMM = "pmm"

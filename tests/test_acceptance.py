@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -133,6 +134,18 @@ def _sliced_prb(result, method, npc, max_reps, parameter=FOCAL):
     )
 
 
+def _coverage(record):
+    """``record``'s CIC with its Monte Carlo SE, sqrt(c (1 - c) / S) (Morris, White
+    & Crowther 2019), where S = ``reps``, the replications that completed."""
+    mcse = math.sqrt(record.cic * (1.0 - record.cic) / record.reps)
+    return f"{record.cic:.3f} (MCSE {mcse:.3f}, S={record.reps})"
+
+
+def _spread(counts):
+    """How many datasets gave each count, as ``count:datasets`` pairs."""
+    return " ".join(f"{count}:{n}" for count, n in sorted(Counter(counts).items()))
+
+
 def _report(number, label, passed, detail):
     line = f"criterion {number:02d} {label}: {'PASS' if passed else 'FAIL'} ({detail})"
     print(line, flush=True)
@@ -172,15 +185,15 @@ def test_criterion_03_dichotomization_penalty(study_dichotomized):
 
 def test_criterion_04_coverage_contrast(study_collinear):
     """Component reduction covers near-nominally; threshold screening does not."""
-    cic_vbv = _metric(study_collinear, STRATEGY_VBV, 7).cic
-    cic_qp = _metric(study_collinear, STRATEGY_QUICKPRED, None).cic
-    passed = 0.90 <= cic_vbv <= 0.99 and cic_qp < 0.90
+    vbv = _metric(study_collinear, STRATEGY_VBV, 7)
+    qp = _metric(study_collinear, STRATEGY_QUICKPRED, None)
+    passed = 0.90 <= vbv.cic <= 0.99 and qp.cic < 0.90
     line = _report(
         4,
         "coverage contrast",
         passed,
-        f"CIC(pcr-vbv q=7)={cic_vbv:.3f} need [0.90, 0.99]; "
-        f"CIC(quickpred)={cic_qp:.3f} need < 0.90",
+        f"CIC(pcr-vbv q=7)={_coverage(vbv)} need [0.90, 0.99]; "
+        f"CIC(quickpred)={_coverage(qp)} need < 0.90",
     )
     assert passed, line
 
@@ -440,8 +453,9 @@ def test_criterion_12_component_enumeration():
         12,
         "component enumeration",
         passed,
-        f"medians over 100 datasets: kaiser={med_kaiser} (>=7), "
-        f"parallel-analysis={med_pa} (>=7), acceleration-factor={med_af} (<7)",
+        f"medians over 100 datasets: kaiser={med_kaiser} (>=7) [{_spread(kaiser_counts)}], "
+        f"parallel-analysis={med_pa} (>=7) [{_spread(pa_counts)}], "
+        f"acceleration-factor={med_af} (<7) [{_spread(af_counts)}]",
     )
     assert passed, line
 
@@ -463,8 +477,9 @@ def test_criterion_13_wide_configuration(study_wide):
         13,
         "wide configuration",
         passed,
-        f"runtime aux={runtime_aux:.2f}s < all={runtime_all:.2f}s <= "
-        f"vbv={runtime_vbv:.2f}s: {ordering}; PRB(q=6)={prb_six:.1f} (>10) vs "
+        f"runtime aux={runtime_aux:.3f}s < all={runtime_all:.3f}s "
+        f"(margin {runtime_all - runtime_aux:.3f}s) <= vbv={runtime_vbv:.3f}s: {ordering}; "
+        f"PRB(q=6)={prb_six:.1f} (>10) vs "
         f"PRB(q=7)={prb_seven:.1f} (<PRB(q=6)): {threshold}",
     )
     assert passed, line

@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 import pcimpute
 from pcimpute.cli import main
@@ -543,6 +544,48 @@ class TestEntryPoint:
     def test_import_leaves_scipy_special_unloaded(self):
         # Only pooling and the simulation need scipy.special; impute does neither.
         assert self._loaded_by_cli_import("scipy.special") == "False"
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # The draw's LAPACK routines are bound from scipy's extension itself.
+        assert self._loaded_by_cli_import("scipy.linalg") == "False"
+
+    def test_import_leaves_simulation_unloaded(self):
+        # Only the simulate command needs it.
+        assert self._loaded_by_cli_import("pcimpute.simulation") == "False"
+
+    @pytest.mark.parametrize("first", ["pcimpute.imputers", "scipy.linalg"])
+    def test_lapack_routines_are_scipy_linalg_lapacks(self, first):
+        same = _child(
+            f"import {first}, pcimpute.imputers as imputers, scipy.linalg.lapack as lapack; "
+            "print([getattr(imputers, n) is getattr(lapack, n) "
+            "for n in ('dpotrf', 'dpotrs', 'dtrtrs')])"
+        )
+        assert same == "[True, True, True]"
+
+    def test_thread_controls_reach_scipy_openblas_without_scipy_linalg(self):
+        counts = _child(
+            "import pcimpute.cli; "
+            "from pcimpute.simulation import _openblas_thread_controls as controls; "
+            "before = len(controls()); import scipy.linalg; controls.cache_clear(); "
+            "print(before, len(controls()))"
+        )
+        before, after = counts.split()
+        if after == "0":
+            pytest.skip("no OpenBLAS loaded")
+        assert before == after
+
+    def test_missing_lapack_extension_names_where_it_looked(self):
+        message = _child(
+            "import sys; from unittest import mock; from importlib.machinery import FileFinder; "
+            "import pcimpute.imputers as imputers; del sys.modules['scipy.linalg._flapack']\n"
+            "with mock.patch.object(FileFinder, 'find_spec', return_value=None):\n"
+            "    try: imputers._load_flapack()\n"
+            "    except ImportError as err: print(err)"
+        )
+        directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        assert message == (
+            f"no scipy.linalg._flapack extension in {directory} (scipy {scipy.__version__})"
+        )
 
     def test_package_import_loads_nothing(self):
         loaded = _child(
