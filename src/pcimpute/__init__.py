@@ -67,6 +67,7 @@ _EXPORTS = {
     ),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted([*_SUBMODULE, "__version__"])
 
 
 def __getattr__(name: str):
@@ -91,48 +92,3 @@ class _Package(_ModuleType):
 
 
 _sys.modules[__name__].__class__ = _Package
-
-__all__ = [
-    "EnumerationRule",
-    "ImputationSpec",
-    "IncompleteData",
-    "LinearModelDraw",
-    "MethodSetting",
-    "MultiplyImputedSet",
-    "ParameterId",
-    "PcaResult",
-    "PooledEstimate",
-    "ROLE_ANALYSIS",
-    "ROLE_AUXILIARY",
-    "ROLE_MAR",
-    "STRATEGIES",
-    "SimulationCondition",
-    "StudySettings",
-    "ampute",
-    "analyze_set",
-    "calibrate_intercept",
-    "coarsen",
-    "complete_case_rows",
-    "compute_cic",
-    "compute_ciw",
-    "compute_prb",
-    "draw_linear_params",
-    "draw_predictive",
-    "enumerate_components",
-    "estimate_parameter",
-    "generate_complete",
-    "initialize_fill",
-    "load_csv",
-    "mar_diagnostics",
-    "max_components",
-    "moment_parameter_ids",
-    "pca",
-    "pmm_impute",
-    "quickpred_select",
-    "rubin_pool",
-    "run_impute",
-    "run_study",
-    "standardize",
-    "write_csv",
-    "__version__",
-]

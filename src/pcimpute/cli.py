@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import os
 
-# A command's draws are products too small for a second OpenBLAS thread to
-# speed up, and an idle worker still spins.  OpenBLAS reads this variable once,
-# as numpy or scipy loads it, so it is set before any import below; a count the
-# caller exported stands.
+# ``run_impute`` holds OpenBLAS at one thread, but a worker that OpenBLAS
+# started at load still spins.  OpenBLAS reads this variable once, as numpy or
+# scipy loads it, so it is set before any import below; a count the caller
+# exported stands.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
@@ -52,7 +52,7 @@ from .pca import (  # noqa: E402
 )
 from .pooling import PARAMETER_KINDS, ParameterId, analyze_set  # noqa: E402
 
-# ``pcimpute.simulation`` (its process pool, ctypes) loads only in the functions
+# ``pcimpute.simulation`` (its process pool) loads only in the functions
 # of the ``simulate`` command, which alone use it; these names annotate them.
 if TYPE_CHECKING:
     from .simulation import MethodSetting, SimulationCondition
@@ -213,14 +213,15 @@ def _load_config(path: str) -> dict:
     for key in ("grid", "methods", "run"):
         if key not in config:
             raise UsageError(f"config is missing the {key!r} section")
+    for key in ("grid", "run", "settings"):
+        if not isinstance(config.get(key, {}), dict):
+            raise UsageError(f"config section {key!r} must be an object")
     return config
 
 
 def _conditions_from_grid(grid: dict) -> list[SimulationCondition]:
     from .simulation import SimulationCondition
 
-    if not isinstance(grid, dict):
-        raise UsageError("config section 'grid' must be an object")
     allowed = [f.name for f in fields(SimulationCondition)]
     _check_keys(grid, allowed, "grid")
     axes = []

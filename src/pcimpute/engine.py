@@ -36,17 +36,17 @@ scores come from one extraction step, ``_Plan.components``.
 
 Observed cells are never modified; missing cells always hold the most
 recent draw.  All randomness flows from one integer seed through
-per-chain child streams, so results are reproducible bit for bit for a
-fixed BLAS thread count, and adding chains never perturbs earlier ones.
-A run uses the process's BLAS thread count, and a multithreaded BLAS
-may round differently, so a single run's bits can depend on that count;
-``simulation.run_study`` runs every replication on one thread, so a
-study's output does not.
+per-chain child streams, and a run does all its linear algebra on one
+OpenBLAS thread, so results are reproducible bit for bit, and adding
+chains never perturbs earlier ones.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import ctypes
+import functools
 import logging
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
@@ -705,13 +705,63 @@ def _resolve_components(plan: _Plan, block: int) -> int:
     return resolved
 
 
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) thread-count functions of each OpenBLAS this process loaded.
+
+    numpy bundles ``libscipy_openblas64_`` and scipy its own
+    ``libscipy_openblas``; both are found through ``/proc/self/maps``.
+    Empty where there is no ``/proc`` or no OpenBLAS (MKL, Accelerate).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            getter = getattr(library, f"scipy_openblas_get_num_threads{suffix}", None)
+            setter = getattr(library, f"scipy_openblas_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                controls.append((getter, setter))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int):
+    """Run the body with every loaded OpenBLAS at ``count`` threads, then restore each.
+
+    A multithreaded BLAS may split a product differently and so round
+    differently.  Does nothing without OpenBLAS.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_count in controls:
+        set_count(count)
+    try:
+        yield
+    finally:
+        for (_, set_count), previous in zip(controls, saved):
+            set_count(previous)
+
+
 def run_impute(spec: ImputationSpec, data: IncompleteData) -> MultiplyImputedSet:
     """Produce ``spec.chains`` completed datasets.
 
     Chain randomness comes from child streams spawned off the root
     seed, so chain k's results do not depend on how many chains run.
     The fixed-score strategies complete their pre-pass once per run and
-    share the resulting component scores across chains.
+    share the resulting component scores across chains.  The whole run
+    holds every loaded OpenBLAS at one thread and then restores the
+    process's counts, so its bits do not depend on them.
 
     Raises
     ------
@@ -721,28 +771,29 @@ def run_impute(spec: ImputationSpec, data: IncompleteData) -> MultiplyImputedSet
         count does not fit its predictor budget; or if an imputation
         model fails (reported with chain, iteration, and column).
     """
-    observed_counts = data.mask.sum(axis=0)
-    for j in data.incomplete_columns().tolist():
-        if observed_counts[j] < 3:
-            raise ValueError(f"column {data.names[j]!r} has fewer than three observed cells")
-        if spec.imputer == IMPUTER_PMM and observed_counts[j] < spec.donors:
-            raise ValueError(
-                f"column {data.names[j]!r} has {observed_counts[j]} observed cells, "
-                f"fewer than the {spec.donors} pmm donors"
-            )
-    root = np.random.SeedSequence(spec.seed)
-    children = root.spawn(spec.chains + 1)  # child 0 is the pre-pass stream
-    plan = _PLANS[spec.strategy](spec, data)
-    trace: list[TraceRecord] = []
-    completions = [
-        _run_chain(plan, np.random.default_rng(children[chain_index + 1]), chain_index, trace)
-        for chain_index in range(spec.chains)
-    ]
-    return MultiplyImputedSet(
-        completions=completions,
-        data=data,
-        spec=spec,
-        trace=trace,
-        resolved_components=plan.resolved_components,
-        pca_count=plan.pca_count,
-    )
+    with _blas_threads(1):
+        observed_counts = data.mask.sum(axis=0)
+        for j in data.incomplete_columns().tolist():
+            if observed_counts[j] < 3:
+                raise ValueError(f"column {data.names[j]!r} has fewer than three observed cells")
+            if spec.imputer == IMPUTER_PMM and observed_counts[j] < spec.donors:
+                raise ValueError(
+                    f"column {data.names[j]!r} has {observed_counts[j]} observed cells, "
+                    f"fewer than the {spec.donors} pmm donors"
+                )
+        root = np.random.SeedSequence(spec.seed)
+        children = root.spawn(spec.chains + 1)  # child 0 is the pre-pass stream
+        plan = _PLANS[spec.strategy](spec, data)
+        trace: list[TraceRecord] = []
+        completions = [
+            _run_chain(plan, np.random.default_rng(children[chain_index + 1]), chain_index, trace)
+            for chain_index in range(spec.chains)
+        ]
+        return MultiplyImputedSet(
+            completions=completions,
+            data=data,
+            spec=spec,
+            trace=trace,
+            resolved_components=plan.resolved_components,
+            pca_count=plan.pca_count,
+        )

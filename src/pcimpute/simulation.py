@@ -10,17 +10,13 @@ estimates with percent relative bias, confidence-interval width, and
 confidence-interval coverage.
 
 Every replication reseeds itself from the root seed and its own index,
-and runs on one BLAS thread, so single replications can be rerun in
-isolation and neither the worker count nor the process's BLAS thread
-count changes statistical output.
+so single replications can be rerun in isolation and the worker count
+does not change statistical output.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
-import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -34,6 +30,7 @@ from .engine import (
     PCR_STRATEGIES,
     ImputationSpec,
     StudySettings,
+    _blas_threads,
     run_impute,
 )
 from .pca import _is_a
@@ -384,7 +381,39 @@ class MethodSetting:
 class MetricRecord:
     """Pooled performance of one method on one parameter in one cell.
 
-    The field order is the column order of ``metrics.csv``.
+    The field order is the column order of ``metrics.csv``.  The three
+    metrics are taken over the replications in which the method entry
+    completed, so their count S is ``reps`` (not ``reps - failures``).
+
+    Attributes
+    ----------
+    n_rows, n_cols, noise_fraction, categories
+        The cell's ``SimulationCondition``: row count, column count,
+        share of low-correlation factors, and category count (None when
+        the non-target columns stay continuous).
+    method : str
+        The entry's strategy.
+    n_components : int, str or None
+        The entry's component count as configured: an integer,
+        ``"max"``, or None for a strategy without components.
+    parameter : str
+        The pooled parameter's label, such as ``corr(x1,x2)``.
+    prb : float
+        Absolute percent relative bias of the mean pooled estimate
+        against the mean full-data estimate (``compute_prb``).
+    cic : float
+        Share of the pooled confidence intervals that cover the mean
+        full-data estimate (``compute_cic``).
+    ciw : float
+        Mean width of the pooled confidence intervals (``compute_ciw``).
+    runtime_s : float
+        Mean wall time of the entry's imputation and analysis over the
+        completed replications (0.0 under ``deterministic_timer``).
+    reps : int
+        Replications in which the entry completed.
+    failures : int
+        Replications in which it raised; ``reps + failures`` is the
+        count the study asked for.
     """
 
     n_rows: int
@@ -452,61 +481,14 @@ def method_seed(root_seed: int, condition_index: int, rep: int, method_index: in
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
-@functools.cache
-def _openblas_thread_controls() -> tuple:
-    """The (get, set) thread-count functions of each OpenBLAS this process loaded.
-
-    numpy bundles ``libscipy_openblas64_`` and scipy its own
-    ``libscipy_openblas``; both are found through ``/proc/self/maps``.
-    Empty where there is no ``/proc`` or no OpenBLAS (MKL, Accelerate).
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as handle:
-            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
-    except OSError:
-        return ()
-    controls = []
-    for path in paths:
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for suffix in ("64_", ""):
-            getter = getattr(library, f"scipy_openblas_get_num_threads{suffix}", None)
-            setter = getattr(library, f"scipy_openblas_set_num_threads{suffix}", None)
-            if getter is not None and setter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                controls.append((getter, setter))
-                break
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def _blas_threads(count: int):
-    """Run the body with every loaded OpenBLAS at ``count`` threads, then restore each.
-
-    A multithreaded BLAS may split a product differently and so round
-    differently; a study replication is a small problem that one thread
-    does as fast with half the CPU.  Does nothing without OpenBLAS.
-    """
-    controls = _openblas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, set_count in controls:
-        set_count(count)
-    try:
-        yield
-    finally:
-        for (_, set_count), previous in zip(controls, saved):
-            set_count(previous)
-
-
 def _replication(args) -> list:
-    """One replication, on one BLAS thread: every method on the same amputed dataset.
+    """One replication: every method on the same amputed dataset.
 
     Returns one outcome per method entry, in order: its estimate
     records (in ``moment_parameter_ids`` order) and runtime, or its
-    failure message.
+    failure message.  ``run_impute`` pins its own BLAS threads; the
+    replication's pin also covers generation and pooling, small products
+    that a second OpenBLAS thread would only spend CPU on.
     """
     (root_seed, cond_index, rep, cond, methods, settings, deterministic_timer) = args
     with _blas_threads(1):
@@ -578,11 +560,10 @@ def run_study(
 
     Within a replication every method imputes the same amputed dataset.
     Replications are independent work items seeded by (seed, condition,
-    rep) and run on one BLAS thread, so any worker count and any BLAS
-    thread count yield the same estimates and metrics; only the runtime
-    column varies, and ``deterministic_timer`` pins it to zero when
-    byte-stable output matters more than timings.  Parallelism comes
-    from ``workers``.
+    rep), so any worker count yields the same estimates and metrics;
+    only the runtime column varies, and ``deterministic_timer`` pins it
+    to zero when byte-stable output matters more than timings.
+    Parallelism comes from ``workers``.
     """
     methods = list(methods)
     check_run(reps, workers, seed)

@@ -18,7 +18,6 @@ from pcimpute.cli import main
 from pcimpute.data import load_csv, write_csv
 from pcimpute.engine import ImputationSpec, run_impute
 from pcimpute.pooling import ParameterId, estimate_parameter, rubin_pool
-from pcimpute.simulation import _blas_threads
 from tests.helpers import make_incomplete, study_dataset
 
 
@@ -458,6 +457,17 @@ class TestSimulateCommand:
         assert f"bad settings: {message}" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("value", [[1, 2], "fast"])
+    @pytest.mark.parametrize("section", ["grid", "run", "settings"])
+    def test_section_that_is_not_an_object_exit_1(self, tmp_path, capsys, section, value):
+        path = self._config(tmp_path)
+        config = json.loads(path.read_text(encoding="utf-8"))
+        config[section] = value
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert f"config section {section!r} must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     @pytest.mark.parametrize(
         ("key", "value", "message"),
         [
@@ -565,7 +575,7 @@ class TestEntryPoint:
     def test_thread_controls_reach_scipy_openblas_without_scipy_linalg(self):
         counts = _child(
             "import pcimpute.cli; "
-            "from pcimpute.simulation import _openblas_thread_controls as controls; "
+            "from pcimpute.engine import _openblas_thread_controls as controls; "
             "before = len(controls()); import scipy.linalg; controls.cache_clear(); "
             "print(before, len(controls()))"
         )
@@ -597,7 +607,7 @@ class TestEntryPoint:
 
     _THREAD_COUNTS = (
         "import json, pcimpute.cli; "
-        "from pcimpute.simulation import _openblas_thread_controls; "
+        "from pcimpute.engine import _openblas_thread_controls; "
         "print(json.dumps([get() for get, _ in _openblas_thread_controls()]))"
     )
 
@@ -609,9 +619,9 @@ class TestEntryPoint:
         assert counts == [expected] * len(counts)
 
     def test_impute_writes_the_one_thread_bytes(self, tmp_path):
-        # p = 242, n = 120, pcr-vbv: under _blas_threads(2) these completions
-        # differ from the one-thread run in 243 cells, by up to 1.9e-14, so a
-        # command left on a two-thread pool would fail this comparison.
+        # p = 242, n = 120, pcr-vbv: a two-thread OpenBLAS would round 243 of
+        # these cells differently, by up to 1.9e-14, had run_impute not pinned
+        # one thread in the command and in this process alike.
         data, _, _ = study_dataset(1, n_rows=120, items_per_factor=39)
         source = tmp_path / "input.csv"
         write_csv(source, data.values, data.names)
@@ -635,8 +645,7 @@ class TestEntryPoint:
             seed=3,
         )
         loaded = load_csv(source)
-        with _blas_threads(1):
-            result = run_impute(spec, loaded)
+        result = run_impute(spec, loaded)
         for index, completion in enumerate(result.completions, start=1):
             expected = tmp_path / f"expected_{index}.csv"
             write_csv(expected, completion, loaded.names)
@@ -646,7 +655,6 @@ class TestEntryPoint:
 
 class TestLazyPackage:
     def test_public_names_are_their_submodules_objects(self):
-        assert set(pcimpute._SUBMODULE) == set(pcimpute.__all__) - {"__version__"}
         for name, module in pcimpute._SUBMODULE.items():
             source = importlib.import_module(f"pcimpute.{module}")
             assert getattr(pcimpute, name) is getattr(source, name), name

@@ -22,6 +22,8 @@ from pcimpute.engine import (
     STRATEGY_QUICKPRED,
     STRATEGY_VBV,
     ImputationSpec,
+    _blas_threads,
+    _openblas_thread_controls,
     initialize_fill,
     quickpred_select,
     run_impute,
@@ -341,6 +343,29 @@ class TestRunImputeContracts:
         b = run_impute(_spec(strategy), data)
         for left, right in zip(a.completions, b.completions):
             np.testing.assert_array_equal(left, right)
+
+    def test_blas_thread_count_does_not_change_bits(self):
+        # p = 242, n = 120: without run_impute's own pin, a two-thread OpenBLAS
+        # rounds 243 of these cells differently from one thread.
+        data, _, _ = study_dataset(1, n_rows=120, items_per_factor=39)
+        spec = _spec(STRATEGY_VBV, n_components=7, chains=2, iterations=2, seed=3)
+        runs = []
+        for threads in (1, 2):
+            with _blas_threads(threads):
+                runs.append(run_impute(spec, data).completions)
+        for one, two in zip(*runs):
+            np.testing.assert_array_equal(one, two)
+
+    def test_blas_thread_counts_restored_after_return_and_error(self):
+        controls = _openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded")
+        with _blas_threads(2):
+            run_impute(_spec(STRATEGY_VBV), make_incomplete(seed=11))
+            assert [get() for get, _ in controls] == [2] * len(controls)
+            with pytest.raises(ValueError, match="three observed"):
+                run_impute(_spec(STRATEGY_VBV), few_observed_target(observed=2))
+            assert [get() for get, _ in controls] == [2] * len(controls)
 
     @pytest.mark.parametrize("strategy", [STRATEGY_VBV, STRATEGY_AUX, STRATEGY_QUICKPRED])
     def test_chain_prefix_invariance(self, strategy):

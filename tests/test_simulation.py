@@ -19,6 +19,8 @@ from pcimpute.engine import (
     STRATEGY_QUICKPRED,
     STRATEGY_VBV,
     ImputationSpec,
+    _blas_threads,
+    _openblas_thread_controls,
     run_impute,
 )
 from pcimpute.pooling import analyze_set, estimate_parameter, moment_parameter_ids
@@ -27,8 +29,6 @@ from pcimpute.simulation import (
     MethodSetting,
     SimulationCondition,
     StudySettings,
-    _blas_threads,
-    _openblas_thread_controls,
     ampute,
     calibrate_intercept,
     coarsen,

@@ -54,33 +54,36 @@ digest matches), and exits 1 if any array case has such a cell:
     PYTHONPATH=../parent/src python tools/completion_digests.py --save saved
     PYTHONPATH=src python tools/completion_digests.py --gaps saved
 
-Some digests depend on the BLAS thread count (a multithreaded BLAS may
-sum in another order), so the script pins OpenBLAS, OpenMP and MKL to one
-thread before numpy loads, unless the caller has set those variables.
-Compare two checkouts under the same settings.
+The digests are committed in ``tests/data/completion_digests.txt``,
+which ``tests/test_completion_digests.py`` compares with a fresh run.
+The first line printed is a stamp of the builds the bits depend on
+(Python, numpy, scipy, and the BLAS each links, with the CPU kernels it
+chose at load); the test skips where the stamp differs.  A change that
+moves bits on purpose regenerates the file:
+
+    PYTHONPATH=src python tools/completion_digests.py > tests/data/completion_digests.txt
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import io
 import json
-import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
 
-for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_variable, "1")
+import numpy as np
+import scipy
 
-import numpy as np  # noqa: E402 - after the thread pins
-
-import pcimpute  # noqa: E402
-from pcimpute import cli, engine  # noqa: E402
-from pcimpute.simulation import write_estimates_csv, write_metrics_csv  # noqa: E402
+import pcimpute
+from pcimpute import cli, engine
+from pcimpute.simulation import write_estimates_csv, write_metrics_csv
 
 IMPUTERS = ("bayesian-normal", "pmm")
 TOLERANCE = 1e-9
@@ -339,6 +342,32 @@ def run_cases():
         )
 
 
+def environment_stamp() -> str:
+    """One comment line naming the builds and BLAS kernels the digests depend on."""
+    blas = []
+    for module in (np, scipy):
+        info = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas.append(f"{info['name']} {info['version']}")
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    cores = []
+    for library in map(ctypes.CDLL, paths):
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            corename = getattr(library, name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                cores.append(corename().decode())
+                break
+    return (
+        f"# python {platform.python_version()}, numpy {np.__version__}, "
+        f"scipy {scipy.__version__}, blas {' + '.join(blas)}, "
+        f"kernels {' + '.join(cores) or 'unknown'} ({platform.machine()})"
+    )
+
+
 def gap_report(name: str, saved, value) -> tuple[str, bool]:
     """One case's line of the gap mode, and whether the case is beyond tolerance."""
     if isinstance(saved, str) or isinstance(value, str):
@@ -390,6 +419,7 @@ def main() -> int:
             print(line, flush=True)
         print(f"{failed} case(s) with a cell beyond {TOLERANCE:g}", flush=True)
         return 1 if failed else 0
+    print(environment_stamp(), flush=True)
     for name, value in run_cases():
         print(f"{name}: {value if isinstance(value, str) else digest(*value)}", flush=True)
     return 0
