@@ -50,11 +50,12 @@ from .pca import (  # noqa: E402
     correlation_eigenvalues,
     enumerate_components,
 )
-from .pooling import PARAMETER_KINDS, ParameterId, analyze_set  # noqa: E402
 
-# ``pcimpute.simulation`` (its process pool) loads only in the functions
-# of the ``simulate`` command, which alone use it; these names annotate them.
+# ``pcimpute.simulation`` (its process pool) and ``pcimpute.pooling`` load only
+# in the functions of the ``simulate`` and ``pool`` commands, which alone use
+# them; these names annotate them.
 if TYPE_CHECKING:
+    from .pooling import ParameterId
     from .simulation import MethodSetting, SimulationCondition
 
 logger = logging.getLogger(__name__)
@@ -336,9 +337,9 @@ def cmd_impute(args) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from None
     result = run_impute(spec, data)
-    out_dir = Path(args.out_dir) if args.out_dir else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prefix = out_dir / args.out_prefix
+    prefix = (Path(args.out_dir) if args.out_dir else Path(".")) / args.out_prefix
+    # ``--out-dir`` and any directory part of the prefix.
+    prefix.parent.mkdir(parents=True, exist_ok=True)
     # The completions share every observed cell: format those once.
     template = _csv_template(data.values)
     for index, completion in enumerate(result.completions, start=1):
@@ -361,6 +362,8 @@ def cmd_impute(args) -> int:
 
 
 def _parse_params(raw: str, names: list[str]) -> list[tuple[str, ParameterId]]:
+    from .pooling import PARAMETER_KINDS, ParameterId
+
     index = {name: j for j, name in enumerate(names)}
     kinds = {short: kind for kind, (short, _) in PARAMETER_KINDS.items()}
     out = []
@@ -387,6 +390,8 @@ def _parse_params(raw: str, names: list[str]) -> list[tuple[str, ParameterId]]:
 
 
 def cmd_pool(args) -> int:
+    from .pooling import analyze_set
+
     if len(args.inputs) < 2:
         raise UsageError("pooling needs at least two completed files")
     datasets = [load_csv(path, na_token=args.na_token) for path in args.inputs]
@@ -401,9 +406,8 @@ def cmd_pool(args) -> int:
             raise ValueError(f"{path}: completed files may not contain missing cells")
     params = _parse_params(args.params, names)
     pooled = analyze_set([dataset.values for dataset in datasets], [pid for _, pid in params])
-    out_dir = Path(args.out_dir) if args.out_dir else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / args.out
+    out_path = (Path(args.out_dir) if args.out_dir else Path(".")) / args.out
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(
             "parameter,estimate,within_var,between_var,total_var,df,ci_lower,ci_upper\n"

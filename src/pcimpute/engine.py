@@ -434,7 +434,7 @@ class _AuxPlan(_Plan):
         data = self.data
         analysis = data.columns_with_role(ROLE_ANALYSIS)
         self.raw = {j: analysis[analysis != j] for j in data.incomplete_columns().tolist()}
-        others = np.setdiff1d(np.arange(data.n_cols), analysis)
+        others = np.delete(np.arange(data.n_cols), analysis)
         self.resolved_components = _resolve_components(self, others.size)
         self.fixed_scores = _fixed_scores(self, others)
 
@@ -508,7 +508,7 @@ class _Design:
         held = raw[complete]
         flat = np.ptp(plan.data.values[np.ix_(self.observed, held)], axis=0) == 0.0
         _warn_dropped(plan, held[flat], target)
-        self.columns = np.union1d(held[~flat], raw[~complete])
+        self.columns = np.sort(np.concatenate([held[~flat], raw[~complete]]))
         self.moving = np.flatnonzero(~plan.data.mask[:, self.columns].all(axis=0))
         self.flat = np.zeros(self.columns.size, dtype=bool)
         self.gram: np.ndarray | None = None

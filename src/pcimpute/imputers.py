@@ -13,11 +13,14 @@ in predicted-mean space.
 
 Donors are found without an n_mis x n_obs gap matrix: the observed
 predictions are sorted once, each missing prediction is placed among
-them by binary search, and its k-th smallest gap is read from the 2k
-sorted neighbours around that place.  The candidates with a gap no
-larger than that one form a contiguous run of the sorted order, which
-is ranked by gap and then by observed-row index, so the donors are
-exactly those of a stable sort of every gap.
+them by binary search, and the 2k sorted neighbours around that place
+are ranked by gap and then by observed-row index.  Their first k are
+the donors, and the k-th of them sets the k-th smallest gap.  The
+candidates with a gap no larger than that one form a contiguous run of
+the sorted order, which lies inside the 2k neighbours unless exact ties
+at the k-th gap carry it past their edge.  Only then is the run's
+extent found by binary search over the whole order and the run ranked
+again, so the donors are exactly those of a stable sort of every gap.
 """
 
 from __future__ import annotations
@@ -259,13 +262,18 @@ def nearest_donors(
     ``(len(pred_mis), donors)``.
 
     The gap ``|s - v|`` to a missing prediction ``v`` falls and then
-    rises along the sorted observed predictions ``s``, so only one
-    contiguous run of that order is ranked (see the module docstring):
-    time is O((n_obs + n_mis) log n_obs + n_mis k) and memory
-    O(n_obs + n_mis k), except where exact ties at the k-th gap widen a
-    run of two or more distinct predictions.  A run of one predicted
-    value (every prediction ties under an intercept-only model) takes
-    its k lowest row indices without ranking.
+    rises along the sorted observed predictions ``s``, so the candidates
+    form one contiguous run of that order (see the module docstring).
+    Each row ranks only its 2k sorted neighbours: time is
+    O(n_obs log n_obs + n_mis (log n_obs + k log k)) and memory
+    O(n_obs + n_mis k).  Only a row whose run spills past those
+    neighbours, where the one just past an edge ties the k-th gap,
+    reaches the bisection, which finds both ends of its run in
+    O(log n_obs) vectorized rounds; such a row then ranks its whole run,
+    so ties among two or more distinct predictions can widen the time
+    and memory to the run's length.  A spilling run of one predicted
+    value (every prediction ties under an intercept-only model) takes its
+    k lowest row indices without ranking the run.
 
     Raises
     ------
@@ -287,26 +295,39 @@ def nearest_donors(
     split = np.searchsorted(ranked, pred_mis)
     width = min(2 * donors, n_obs)
     start = np.clip(split - donors, 0, n_obs - width)
-    near = np.abs(ranked[start[:, None] + np.arange(width)] - pred_mis[:, None])
-    kth_gap = np.partition(near, donors - 1, axis=1)[:, donors - 1]
+    window = start[:, None] + np.arange(width)
+    near = np.abs(ranked[window] - pred_mis[:, None])
+    rows = row_of[window]
+    # A gap above the k-th ranks after every gap at or below it, so ranking
+    # the whole window ranks the run inside it.
+    best = np.lexsort((rows, near), axis=1)[:, :donors]
+    pools = np.take_along_axis(rows, best, axis=1)
+    kth_gap = near[np.arange(pred_mis.shape[0]), best[:, -1]]
 
     def within(positions):
         return np.abs(ranked[positions] - pred_mis) <= kth_gap
 
+    # The run leaves the window only where the neighbour past an edge ties the
+    # k-th gap.  Position -1 and position n_obs are both the sentinel, whose
+    # gap is infinite, so an edge at either end of the order never spills.
+    spill = np.flatnonzero(within(start - 1) | within(start + width))
+    if spill.size == 0:
+        return pools
+    # ``within`` reads these names, so from here on it tests the spilling rows alone.
+    pred_mis, kth_gap, split = pred_mis[spill], kth_gap[spill], split[spill]
     first = _first_true(within, np.zeros_like(split), split)
     stop = _first_true(lambda positions: ~within(positions), split, np.full_like(split, n_obs))
-    pools = np.empty((pred_mis.shape[0], donors), dtype=order.dtype)
     # A run of one predicted value ties every gap, and the stable sort kept
     # its rows in ascending index order: its first k rows are the donors.
     tied = ranked[first] == ranked[stop - 1]
-    pools[tied] = row_of[first[tied, None] + np.arange(donors)]
+    pools[spill[tied]] = row_of[first[tied, None] + np.arange(donors)]
     first, stop, rest = first[~tied], stop[~tied], pred_mis[~tied]
     run = first[:, None] + np.arange((stop - first).max(initial=donors))
     run = np.where(run < stop[:, None], run, n_obs)
     gaps = np.abs(ranked[run] - rest[:, None])
     rows = row_of[run]
     best = np.lexsort((rows, gaps), axis=1)[:, :donors]
-    pools[~tied] = np.take_along_axis(rows, best, axis=1)
+    pools[spill[~tied]] = np.take_along_axis(rows, best, axis=1)
     return pools
 
 

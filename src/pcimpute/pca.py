@@ -285,10 +285,13 @@ def pca(
 
 
 def correlation_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Full correlation-matrix spectrum of ``matrix``, nonincreasing."""
+    """Full correlation-matrix spectrum of ``matrix``, nonincreasing.
+
+    No eigenvectors are formed: ``eigvalsh`` returns the spectrum in
+    ascending order, which is reversed.
+    """
     standardized, _, _ = standardize(matrix)
-    eigenvalues, _ = _oriented_descending_eigh(_correlation(standardized))
-    return eigenvalues
+    return np.linalg.eigvalsh(_correlation(standardized))[::-1]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import scipy
 import pcimpute
 from pcimpute.cli import main
 from pcimpute.data import load_csv, write_csv
-from pcimpute.engine import ImputationSpec, run_impute
+from pcimpute.engine import STRATEGIES, ImputationSpec, run_impute
 from pcimpute.pooling import ParameterId, estimate_parameter, rubin_pool
 from tests.helpers import make_incomplete, study_dataset
 
@@ -121,6 +121,17 @@ class TestImputeCommand:
             ]) == 0
             outputs.append((out_dir / "run_1.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_prefix_directory_is_created(self, incomplete_csv, tmp_path, monkeypatch):
+        path, _ = incomplete_csv
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "impute", "--input", str(path), "--method", "quickpred",
+            "--m", "1", "--maxit", "1", "--out-prefix", "sub/x",
+        ])
+        assert code == 0
+        assert load_csv(tmp_path / "sub" / "x_1.csv").mask.all()
+        assert (tmp_path / "sub" / "x_trace.csv").is_file()
 
     def test_targets_alias_matches_analysis_cols(self, incomplete_csv, tmp_path):
         path, _ = incomplete_csv
@@ -257,6 +268,12 @@ class TestPoolCommand:
             "pool", "--inputs", *paths, "--params", params, "--out-dir", str(tmp_path),
         ]) == 1
         assert message in capsys.readouterr().err
+
+    def test_out_directory_is_created(self, tmp_path, monkeypatch):
+        paths, _ = self._completed_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["pool", "--inputs", *paths, "--params", "mean:x1", "--out", "sub/p.csv"]) == 0
+        assert [row[0] for row in _read_rows(tmp_path / "sub" / "p.csv")[1:]] == ["mean:x1"]
 
     def test_single_input_rejected(self, tmp_path, capsys):
         paths, _ = self._completed_files(tmp_path)
@@ -562,6 +579,32 @@ class TestEntryPoint:
     def test_import_leaves_simulation_unloaded(self):
         # Only the simulate command needs it.
         assert self._loaded_by_cli_import("pcimpute.simulation") == "False"
+
+    @pytest.mark.parametrize("method", STRATEGIES)
+    def test_impute_loads_no_unused_module(self, method, incomplete_csv, tmp_path):
+        # pmm under every strategy needs no pooling, simulation or scipy.linalg,
+        # and no numpy.ma, which np.unique imports on its first call.
+        path, _ = incomplete_csv
+        argv = ["impute", "--input", str(path), "--method", method, "--targets", "x1,x2",
+                "--mar-cols", "x3,x4", "--m", "2", "--maxit", "2",
+                "--out-dir", str(tmp_path), "--out-prefix", "run"]  # fmt: skip
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "pcimpute.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=_environment(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        # -X importtime writes one "import time: ... | <module>" line per import.
+        imported = {
+            line.rpartition("|")[2].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert {"pcimpute.engine", "pcimpute.imputers"} <= imported
+        unused = {"numpy.ma", "pcimpute.pooling", "pcimpute.simulation", "scipy.linalg"}
+        assert imported & unused == set()
 
     @pytest.mark.parametrize("first", ["pcimpute.imputers", "scipy.linalg"])
     def test_lapack_routines_are_scipy_linalg_lapacks(self, first):

@@ -224,6 +224,54 @@ class TestNearestDonors:
             nearest_donors_full_sort(pred_obs, pred_mis, donors),
         )
 
+    @pytest.fixture()
+    def searched(self, monkeypatch):
+        """Row counts of every call to the run bisection, ``_first_true``."""
+        counts = []
+
+        def spy(holds, lo, hi):
+            counts.append(lo.size)
+            return first_true(holds, lo, hi)
+
+        first_true = imputers._first_true
+        monkeypatch.setattr(imputers, "_first_true", spy)
+        return counts
+
+    # k = 2, so each window holds the 4 sorted neighbours of the split.
+    @pytest.mark.parametrize(
+        ("pred_obs", "pred_mis", "expected", "spilling"),
+        [
+            # Sorted rows 1, 3, 5, 6 (all 1.0) | 0 (2.0) | 2 | 4: the window is
+            # rows 5, 6, 0, 2, and rows 1 and 3 past its left edge tie its k-th gap.
+            ([2.0, 1.0, 5.0, 1.0, 9.0, 1.0, 1.0], [2.0], [0, 1], 1),
+            # The window is the four 1.0 rows; 1 + 2^-52 rounds to the same gap to
+            # -1, so rows 0 and 1 past its right edge tie, and rank first.
+            ([1.0 + 2.0**-52, 1.0 + 2.0**-52, 1.0, 1.0, 1.0, 1.0], [-1.0], [0, 1], 1),
+            # Every gap is 1: the window holds rows 1-4, and rows 0 and 5 lie past both edges.
+            ([1.0, 1.0, 1.0, 3.0, 3.0, 3.0], [2.0], [0, 1], 1),
+            # The k-th gap, 0.6, is smaller than either neighbour's past the window.
+            ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], [3.4], [3, 4], 0),
+            # n_obs < 2k: the window is the whole order.
+            ([3.0, 1.0, 2.0], [2.0, 0.0], [[2, 0], [1, 2]], 0),
+        ],
+        ids=["left-edge", "right-edge", "both-edges", "neither", "n_obs-below-2k"],
+    )
+    def test_run_past_the_window_is_searched(
+        self, searched, pred_obs, pred_mis, expected, spilling
+    ):
+        pools = nearest_donors(pred_obs, pred_mis, donors=2)
+        np.testing.assert_array_equal(pools, nearest_donors_full_sort(pred_obs, pred_mis, 2))
+        np.testing.assert_array_equal(pools, np.reshape(expected, pools.shape))
+        # Each spilling row is bisected on both sides, and no other row is.
+        assert sum(searched) == 2 * spilling
+
+    def test_continuous_predictions_skip_the_search(self, searched):
+        rng = np.random.default_rng(4)
+        pred_obs, pred_mis = rng.standard_normal(750), rng.standard_normal(250)
+        pools = nearest_donors(pred_obs, pred_mis, donors=5)
+        np.testing.assert_array_equal(pools, nearest_donors_full_sort(pred_obs, pred_mis, 5))
+        assert sum(searched) == 0
+
     def test_large_sample_matches_full_sort_on_sampled_rows(self):
         rng = np.random.default_rng(8)
         pred = rng.standard_normal(100_000)
