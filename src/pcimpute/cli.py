@@ -315,6 +315,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _output_path(out_dir: str | None, name: str, flag: str) -> Path:
+    """``name`` under ``--out-dir``, its parent directory made before any work is done."""
+    path = Path(out_dir or ".") / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValueError(f"{flag} {name}: its directory {path.parent} is not a directory") from None
+    return path
+
+
 def cmd_impute(args) -> int:
     analysis = _split_names(args.analysis_cols)
     mar = _split_names(args.mar_cols)
@@ -331,15 +341,13 @@ def cmd_impute(args) -> int:
         donors=args.donors,
         seed=args.seed if args.seed is not None else 0,
     )
+    prefix = _output_path(args.out_dir, args.out_prefix, "--out-prefix")
     data = load_csv(args.input, na_token=args.na_token)
     try:
         data = data.with_roles(analysis=analysis, mar=mar)
     except ValueError as err:
         raise UsageError(str(err)) from None
     result = run_impute(spec, data)
-    prefix = (Path(args.out_dir) if args.out_dir else Path(".")) / args.out_prefix
-    # ``--out-dir`` and any directory part of the prefix.
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     # The completions share every observed cell: format those once.
     template = _csv_template(data.values)
     for index, completion in enumerate(result.completions, start=1):
@@ -394,6 +402,7 @@ def cmd_pool(args) -> int:
 
     if len(args.inputs) < 2:
         raise UsageError("pooling needs at least two completed files")
+    out_path = _output_path(args.out_dir, args.out, "--out")
     datasets = [load_csv(path, na_token=args.na_token) for path in args.inputs]
     names = datasets[0].names
     shape = datasets[0].values.shape
@@ -406,8 +415,6 @@ def cmd_pool(args) -> int:
             raise ValueError(f"{path}: completed files may not contain missing cells")
     params = _parse_params(args.params, names)
     pooled = analyze_set([dataset.values for dataset in datasets], [pid for _, pid in params])
-    out_path = (Path(args.out_dir) if args.out_dir else Path(".")) / args.out
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(
             "parameter,estimate,within_var,between_var,total_var,df,ci_lower,ci_upper\n"
@@ -434,7 +441,7 @@ def cmd_enumerate(args) -> int:
             )
         rows = complete_case_rows(data)
         if rows.size < 3:
-            raise ValueError("fewer than three complete cases")
+            raise ValueError(f"{args.input}: fewer than three complete cases")
         values = values[rows]
     methods = {tag: method for method, tag in ENUMERATION_METHODS.items()}
     try:
@@ -446,7 +453,10 @@ def cmd_enumerate(args) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from None
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    retained = enumerate_components(values, rule, rng)
+    try:
+        retained = enumerate_components(values, rule, rng)
+    except ValueError as err:
+        raise ValueError(f"{args.input}: rule {args.rule}: {err}") from None
     spectrum = correlation_eigenvalues(values)
     print(f"rule: {rule.method}")
     print(f"rows used: {values.shape[0]}")

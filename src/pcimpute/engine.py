@@ -6,9 +6,9 @@ iterations.  At every visit the target column is regressed on a
 predictor matrix assembled by the run's plan, the one per-run object
 (its spec and data, set up once, shared by every chain).  The plan
 keeps each target's predictors on its observed and missing rows, and
-their ridged Gram, from the target's first visit on; a later visit
-rewrites only the columns that can have changed (incomplete raw
-columns, per-visit scores) and their Gram rows.  The strategies:
+their Gram, from the target's first visit on; a later visit rewrites
+only the columns that can have changed (incomplete raw columns,
+per-visit scores) and their Gram rows.  The strategies:
 
 * ``pcr-vbv``     principal-component scores of every other column,
                   recomputed from the current working matrix at every
@@ -105,11 +105,11 @@ class StudySettings:
     donors : int
         Donor-pool size for pmm.
     ridge : float
-        Stabilization constant added to the diagonal of the slopes' Gram,
-        the predictors' cross products centred on the target's observed
-        rows.  It is absolute (in the predictors' squared units), and the
-        intercept is never ridged, so a shift of a column does not move
-        the imputations.
+        Stabilization constant the draw adds to the diagonal of the slopes'
+        Gram, the predictors' cross products centred on the target's observed
+        rows (cached unridged).  It is absolute (in the predictors' squared
+        units), and the intercept is never ridged, so a shift of a column
+        does not move the imputations.
     """
 
     chains: int = 5
@@ -471,17 +471,16 @@ def _fixed_scores(plan: _Plan, columns: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _refresh_gram(gram: np.ndarray, x: np.ndarray, border: np.ndarray, ridge: float) -> None:
-    """Recompute, in place, the rows and columns of ``gram = ridged_gram(x, ridge)``
-    that belong to the centred predictors at positions ``border`` of ``x``, in O(n r b)."""
+def _refresh_gram(gram: np.ndarray, x: np.ndarray, border: np.ndarray) -> None:
+    """Recompute, in place, the rows and columns of ``gram = x.T @ x`` that belong
+    to the centred predictors at positions ``border`` of ``x``, in O(n r b)."""
     cross = x[:, border].T @ x
-    cross[np.arange(border.size), border] += ridge
     gram[:, border] = cross.T
     gram[border, :] = cross
 
 
 class _Design:
-    """One target's visit predictors on its observed and missing rows, and their ridged Gram.
+    """One target's visit predictors on its observed and missing rows, and their Gram.
 
     Made at the target's first visit and kept on the plan, so every chain
     and sweep shares it.  A raw column that is constant on the target's
@@ -498,7 +497,7 @@ class _Design:
     shrank) rebuilds it.  Every column is stored centred on the target's
     observed rows (``x_mis`` with the same centres), and a border column is
     centred again when it is rewritten, so the draw sees no predictor's
-    location.  It holds n x r predictor cells and one r x r Gram.
+    location.  It holds n x r predictor cells and their r x r Gram, unridged.
     """
 
     def __init__(self, plan: _Plan, target: int) -> None:
@@ -544,9 +543,9 @@ class _Design:
         # The refresh costs O(n r b) against the full product's O(n r^2 / 2).
         # Both read the stored columns, which are centred already.
         if rebuild or 2 * border.size >= width:
-            self.gram = self.x_obs.T @ self.x_obs + plan.spec.ridge * np.eye(width)
+            self.gram = self.x_obs.T @ self.x_obs
         elif border.size:
-            _refresh_gram(self.gram, self.x_obs, border, plan.spec.ridge)
+            _refresh_gram(self.gram, self.x_obs, border)
 
 
 def build_predictors(
@@ -561,10 +560,10 @@ def build_predictors(
     missing cells, and ``state`` the chain's ``plan.new_chain`` state.
     The predictors are the target's raw columns under ``plan`` that are
     not constant on its observed rows of ``working`` (``_Design`` decides
-    which), followed by the plan's component scores,
-    on the target's observed rows (``x_obs``) and missing rows
-    (``x_mis``), each centred on its mean over the observed rows;
-    ``gram`` is ``ridged_gram(x_obs, plan.spec.ridge)`` up to rounding.
+    which), followed by the plan's component scores, on the target's
+    observed rows (``x_obs``) and missing rows (``x_mis``), each centred
+    on its mean over the observed rows; ``gram`` is ``x_obs.T @ x_obs``
+    up to rounding, unridged.
     They are the plan's cache for the target (see ``_Design``), valid
     until the target's next visit.
     """

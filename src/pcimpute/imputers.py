@@ -90,37 +90,28 @@ class LinearModelDraw:
         return self.coefficients[0] + x @ self.coefficients[1:]
 
 
-def ridged_gram(x: np.ndarray, ridge: float = DEFAULT_RIDGE) -> np.ndarray:
-    """The r x r ridged Gram ``xc' xc + ridge * I`` of ``x``'s columns centred on their means.
-
-    Centred predictors are orthogonal to the constant column, so the
-    intercept is estimated apart from them and is never ridged.
-    """
-    x = np.asarray(x, dtype=float)
-    centred = x - x.mean(axis=0)
-    return centred.T @ centred + ridge * np.eye(x.shape[1])
-
-
 def _solve(x: np.ndarray, y: np.ndarray, ridge: float, gram: np.ndarray | None):
     """The ridged slopes of ``y ~ 1 + x`` on centred predictors.
 
-    Returns ``(slopes, lower)``, where ``lower`` is the lower Cholesky
-    factor of ``gram`` (``ridged_gram(x, ridge)`` when None).  No column
-    mean of ``x`` is formed: the unridged intercept in ``x``'s own
-    coordinates, ``mean(y) - mean(x) @ slopes``, is the mean of
-    ``y - x @ slopes``, which the callers form anyway.
+    ``gram`` is ``xc' xc``, the unridged cross-product of ``x``'s centred
+    columns (formed when None); this is the one place ``ridge * I`` is added.
+    Returns ``(slopes, lower)``, ``lower`` the lower Cholesky factor of
+    ``xc' xc + ridge * I``.  The unridged intercept in ``x``'s coordinates,
+    ``mean(y) - mean(x) @ slopes``, is the mean of ``y - x @ slopes``.
     """
     if x.shape[0] != y.shape[0]:
         raise ValueError("predictor and outcome row counts differ")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("design and outcome must be finite")
     if gram is None:
-        gram = ridged_gram(x, ridge)
-    # LAPACK reads the lower triangle of the C-order Gram (f2py copies it to
-    # Fortran order).  Passing ``gram.T`` would skip the copy but read the
-    # upper triangle, and a Gram refreshed in place need not be bitwise
-    # symmetric.  ``clean`` zeroes the factor above its diagonal.
-    lower, info = dpotrf(gram, lower=1, clean=1)
+        centred = x - x.mean(axis=0)
+        gram = centred.T @ centred
+    # LAPACK factors in place the Fortran-order copy f2py would otherwise make,
+    # so ``gram`` is not written.  It reads the lower triangle (a Gram refreshed
+    # in place need not be bitwise symmetric); ``clean`` zeroes the upper one.
+    ridged = np.array(gram, order="F")
+    ridged.flat[:: len(ridged) + 1] += ridge  # the diagonal, in either memory order
+    lower, info = dpotrf(ridged, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         # ``info`` is the order of the first leading minor that is not positive.
         if not np.isfinite(gram).all():
@@ -151,7 +142,7 @@ def ridged_least_squares(x: np.ndarray, y: np.ndarray, ridge: float = DEFAULT_RI
     The slopes are ridged on ``x``'s centred columns; the intercept,
     ``mean(y) - mean(x) @ slopes``, is not.  Returns ``(coefficients,
     cholesky_factor)``, the intercept first, where the factor is the lower
-    Cholesky triangle of ``ridged_gram(x, ridge)``, zero above it.
+    Cholesky triangle of ``xc' xc + ridge * I`` (``xc``: ``x`` centred), zero above it.
     """
     x, y = _inputs(x, y)
     slopes, lower = _solve(x, y, ridge, None)
@@ -174,9 +165,9 @@ def draw_linear_params(
     normal around the ridged least-squares solution with covariance
     ``sigma^2 (Xc'Xc + ridge I)^{-1}``; the draw is then mapped back to
     ``x_obs``'s own coordinates.  So a shift of a predictor column moves
-    only the intercept.  ``gram``, when given, must be
-    ``ridged_gram(x_obs, ridge)`` (up to rounding): a caller that keeps
-    it across draws whose predictors barely change saves its
+    only the intercept.  ``gram``, when given, must be ``Xc'Xc`` (up to
+    rounding), never ridged by the caller, and is not written: a caller
+    that keeps it across draws whose predictors barely change saves its
     O(n_obs r^2) product.
 
     Raises
@@ -347,10 +338,9 @@ def pmm_impute(
     missing row then receives the observed outcome of one donor
     drawn uniformly from its ``donors`` nearest observed rows.  Every
     imputed value is therefore an observed value of the column.
-    ``gram`` passes through to ``draw_linear_params``.
+    ``ridge`` and ``gram`` (unridged) pass through to ``draw_linear_params``.
     """
-    y_obs = np.asarray(y_obs, dtype=float).ravel()
-    x_obs = np.asarray(x_obs, dtype=float)
+    x_obs, y_obs = _inputs(x_obs, y_obs)
     x_mis = np.asarray(x_mis, dtype=float)
     params = draw_linear_params(y_obs, x_obs, rng, ridge, gram)
     pools = nearest_donors(params.mean(x_obs), params.mean(x_mis), donors)

@@ -133,6 +133,26 @@ class TestImputeCommand:
         assert load_csv(tmp_path / "sub" / "x_1.csv").mask.all()
         assert (tmp_path / "sub" / "x_trace.csv").is_file()
 
+    @pytest.mark.parametrize(
+        "flags", [["--out-prefix", "afile/x"], ["--out-dir", "afile", "--out-prefix", "x"]],
+        ids=["prefix", "out-dir"],
+    )
+    def test_prefix_under_a_file_fails_before_the_run(
+        self, incomplete_csv, tmp_path, monkeypatch, capsys, flags
+    ):
+        path, _ = incomplete_csv
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+
+        def refuse(*args):
+            raise AssertionError("run_impute called")
+
+        monkeypatch.setattr("pcimpute.cli.run_impute", refuse)
+        code = main(["impute", "--input", str(path), "--method", "quickpred", *flags])
+        assert code == 2
+        message = f"error: --out-prefix {flags[-1]}: its directory afile is not a directory\n"
+        assert capsys.readouterr().err == message
+
     def test_targets_alias_matches_analysis_cols(self, incomplete_csv, tmp_path):
         path, _ = incomplete_csv
         for label, flag in (("a", "--analysis-cols"), ("b", "--targets")):
@@ -275,6 +295,20 @@ class TestPoolCommand:
         assert main(["pool", "--inputs", *paths, "--params", "mean:x1", "--out", "sub/p.csv"]) == 0
         assert [row[0] for row in _read_rows(tmp_path / "sub" / "p.csv")[1:]] == ["mean:x1"]
 
+    def test_out_under_a_file_fails_before_pooling(self, tmp_path, monkeypatch, capsys):
+        paths, _ = self._completed_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+
+        def refuse(*args):
+            raise AssertionError("analyze_set called")
+
+        monkeypatch.setattr("pcimpute.pooling.analyze_set", refuse)
+        code = main(["pool", "--inputs", *paths, "--params", "mean:x1", "--out", "afile/p.csv"])
+        assert code == 2
+        message = "error: --out afile/p.csv: its directory afile is not a directory\n"
+        assert capsys.readouterr().err == message
+
     def test_single_input_rejected(self, tmp_path, capsys):
         paths, _ = self._completed_files(tmp_path)
         assert main(["pool", "--inputs", paths[0], "--params", "mean:x1"]) == 1
@@ -353,6 +387,21 @@ class TestEnumerateCommand:
         out = capsys.readouterr().out
         n_complete = int(data.mask.all(axis=1).sum())
         assert f"rows used: {n_complete}" in out
+
+    @pytest.mark.parametrize("rule", ["oc", "af"])
+    def test_too_few_columns_name_the_input_and_rule(self, tmp_path, capsys, rule):
+        path = tmp_path / "two.csv"
+        write_csv(path, np.random.default_rng(1).standard_normal((20, 2)), ["x1", "x2"])
+        assert main(["enumerate", "--input", str(path), "--rule", rule]) == 2
+        message = f"error: {path}: rule {rule}: need at least three eigenvalues\n"
+        assert capsys.readouterr().err == message
+
+    def test_too_few_complete_cases_name_the_input(self, tmp_path, capsys):
+        path = tmp_path / "gappy.csv"
+        path.write_text("a,b,c\n1,2,NA\n3,4,5\n5,6,7\n1,NA,1\n", encoding="utf-8")
+        argv = ["enumerate", "--input", str(path), "--rule", "kaiser", "--complete-cases"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: fewer than three complete cases\n"
 
     def test_bad_quantile_is_usage_error(self, tmp_path, capsys):
         path = self._complete_csv(tmp_path)

@@ -28,7 +28,7 @@ from pcimpute.engine import (
     quickpred_select,
     run_impute,
 )
-from pcimpute.imputers import IMPUTER_KINDS, IMPUTER_PMM, draw_linear_params, ridged_gram
+from pcimpute.imputers import IMPUTER_KINDS, IMPUTER_PMM, draw_linear_params
 from pcimpute.pca import RunningCorrelation, pca
 from tests.helpers import (
     assert_observed_preserved,
@@ -669,7 +669,7 @@ class TestCachedDesign:
             centred = _centred(gathered, observed)
             np.testing.assert_array_equal(x_obs, centred[observed])
             np.testing.assert_array_equal(x_mis, centred[~observed])
-            np.testing.assert_allclose(gram, ridged_gram(x_obs), rtol=0, atol=1e-9)
+            np.testing.assert_allclose(gram, x_obs.T @ x_obs, rtol=0, atol=1e-9)
             cached = draw_linear_params(y_obs, x_obs, np.random.default_rng(1), gram=gram)
             fresh = draw_linear_params(y_obs, centred[observed], np.random.default_rng(1))
             np.testing.assert_allclose(cached.coefficients, fresh.coefficients, rtol=0, atol=1e-9)
@@ -708,7 +708,7 @@ class TestCachedDesign:
                     centred = _centred(gathered, observed)
                     np.testing.assert_array_equal(x_obs, centred[observed])
                     np.testing.assert_array_equal(x_mis, centred[~observed])
-                    np.testing.assert_allclose(gram, ridged_gram(x_obs), rtol=0, atol=1e-9)
+                    np.testing.assert_allclose(gram, x_obs.T @ x_obs, rtol=0, atol=1e-9)
             assert widths == [4, 5, 4, 5]
             messages = [rec.message for rec in caplog.records]
             assert messages == [

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from pcimpute import imputers
 from pcimpute.imputers import (
+    IMPUTER_KINDS,
+    IMPUTER_PMM,
     LinearModelDraw,
     draw_linear_params,
     draw_predictive,
@@ -339,3 +341,41 @@ class TestPmm:
         pmm_impute(y_obs, x_obs, x_obs.copy(), np.random.default_rng(0))
         [(pred_obs, pred_mis)] = seen
         np.testing.assert_array_equal(pred_mis, pred_obs)
+
+
+class TestGivenGram:
+    """``gram`` is the unridged centred cross-product; only the draw ridges it."""
+
+    @staticmethod
+    def _case():
+        # Predictors with a spread of 0.05, so a ridge of 1.0 outweighs their
+        # own cross products and shrinks every slope visibly.
+        rng = np.random.default_rng(17)
+        x = 0.05 * rng.standard_normal((60, 3))
+        y = x @ [40.0, -30.0, 20.0] + 0.1 * rng.standard_normal(60)
+        xc = x - x.mean(axis=0)
+        return y, xc, 0.05 * rng.standard_normal((9, 3)) - x.mean(axis=0)
+
+    @pytest.mark.parametrize("imputer", IMPUTER_KINDS)
+    def test_ridge_is_added_once(self, imputer):
+        y, xc, x_mis = self._case()
+
+        def impute(**kwargs):
+            rng = np.random.default_rng(5)
+            if imputer == IMPUTER_PMM:
+                return pmm_impute(y, xc, x_mis, rng, **kwargs)
+            return draw_predictive(draw_linear_params(y, xc, rng, **kwargs), x_mis, rng)
+
+        given = impute(ridge=1.0, gram=xc.T @ xc)
+        np.testing.assert_allclose(given, impute(ridge=1.0), rtol=0, atol=1e-12)
+        # The case is one where the ridge moves the imputations.
+        assert not np.allclose(given, impute(ridge=0.0), rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_draw_never_writes_the_gram(self, order):
+        y, xc, x_mis = self._case()
+        gram = np.array(xc.T @ xc, order=order)
+        before = gram.tobytes(order="A")
+        draw_linear_params(y, xc, np.random.default_rng(0), ridge=1.0, gram=gram)
+        pmm_impute(y, xc, x_mis, np.random.default_rng(0), ridge=1.0, gram=gram)
+        assert gram.tobytes(order="A") == before
