@@ -48,7 +48,7 @@ from .pca import (  # noqa: E402
     ENUMERATION_METHODS,
     EnumerationRule,
     correlation_eigenvalues,
-    enumerate_components,
+    count_components,
 )
 
 # ``pcimpute.simulation`` (its process pool) and ``pcimpute.pooling`` load only
@@ -454,10 +454,10 @@ def cmd_enumerate(args) -> int:
         raise UsageError(str(err)) from None
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     try:
-        retained = enumerate_components(values, rule, rng)
+        spectrum = correlation_eigenvalues(values)
+        retained = count_components(spectrum, values.shape[0], rule, rng)
     except ValueError as err:
         raise ValueError(f"{args.input}: rule {args.rule}: {err}") from None
-    spectrum = correlation_eigenvalues(values)
     print(f"rule: {rule.method}")
     print(f"rows used: {values.shape[0]}")
     print(f"retained components: {retained}")

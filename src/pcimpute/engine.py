@@ -541,9 +541,10 @@ class _Design:
         self.x_obs[:, border] = observed - centres
         self.x_mis[:, border] = values[~self.observed] - centres
         # The refresh costs O(n r b) against the full product's O(n r^2 / 2).
-        # Both read the stored columns, which are centred already.
+        # Both read the stored columns, which are centred already.  The Gram is
+        # kept in Fortran order, so the draw's copy of it for LAPACK is a plain one.
         if rebuild or 2 * border.size >= width:
-            self.gram = self.x_obs.T @ self.x_obs
+            self.gram = np.asfortranarray(self.x_obs.T @ self.x_obs)
         elif border.size:
             _refresh_gram(self.gram, self.x_obs, border)
 

@@ -64,7 +64,8 @@ def _load_flapack() -> ModuleType:
 
 
 _flapack = _load_flapack()
-dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
+# The one binding site of every LAPACK routine the package calls (``pca`` takes dsyevr).
+dpotrf, dpotrs, dsyevr, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dsyevr, _flapack.dtrtrs
 
 IMPUTER_BAYES = "bayesian-normal"
 IMPUTER_PMM = "pmm"
@@ -263,8 +264,9 @@ def nearest_donors(
     O(log n_obs) vectorized rounds; such a row then ranks its whole run,
     so ties among two or more distinct predictions can widen the time
     and memory to the run's length.  A spilling run of one predicted
-    value (every prediction ties under an intercept-only model) takes its
-    k lowest row indices without ranking the run.
+    value takes its k lowest row indices without ranking the run, and
+    when every observed prediction ties, as under an intercept-only
+    model, every row takes them with no search at all.
 
     Raises
     ------
@@ -282,6 +284,9 @@ def nearest_donors(
     # One sentinel past the end, an infinite prediction with a row index past
     # every real one, so padded positions always rank last.
     ranked = np.append(pred_obs[order], np.inf)
+    if ranked[0] == ranked[n_obs - 1]:
+        # Every gap ties, and the stable sort kept row order.
+        return np.tile(np.arange(donors), (pred_mis.shape[0], 1))
     row_of = np.append(order, n_obs)
     split = np.searchsorted(ranked, pred_mis)
     width = min(2 * donors, n_obs)

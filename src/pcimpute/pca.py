@@ -11,10 +11,12 @@ runs on identical input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral
 
 import numpy as np
+
+from .imputers import dsyevr
 
 # Component-count rule -> its ``pcimpute enumerate --rule`` tag, in rule order.
 ENUMERATION_METHODS = {
@@ -91,9 +93,17 @@ class PcaResult:
         Leading correlation-matrix eigenvalues, nonincreasing.
     next_eigenvalue : float
         Eigenvalue ``n_components + 1`` (0.0 when every component is
-        kept).  A warm-started solve carries its warm start's value on.
+        kept).  A warm-started solve gives its guard column's Ritz value,
+        a lower bound on it.
     warm_steps : int
-        Filter steps of a warm-started solve; 0 means an exact ``eigh``.
+        Filter steps of a warm-started solve; 0 means an exact solve, of
+        the leading ``n_components + 1`` pairs (LAPACK ``dsyevr``) or,
+        when they are over ``PARTIAL_SOLVE_SHARE`` of the block, of all
+        of them (``eigh``).
+    basis : ndarray, shape (n_cols, q + 1)
+        The weight columns, in either sign, then (below the full block) a
+        guard column for eigenvalue ``n_components + 1``: the next
+        warm-started solve starts from it.
     """
 
     scores: np.ndarray
@@ -101,6 +111,7 @@ class PcaResult:
     eigenvalues: np.ndarray
     next_eigenvalue: float = 0.0
     warm_steps: int = 0
+    basis: np.ndarray | None = field(default=None, repr=False)
 
 
 def _orient(vectors: np.ndarray) -> np.ndarray:
@@ -109,11 +120,31 @@ def _orient(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _oriented_descending_eigh(corr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # eigh returns ascending order; flip, then fix each column's sign.
-    eigenvalues, vectors = np.linalg.eigh(corr)
-    order = np.argsort(-eigenvalues, kind="stable")
-    return eigenvalues[order], _orient(vectors[:, order])
+# LAPACK dsyevr (range "I") finds the leading k eigenpairs of an m x m block
+# faster than the full eigh while k is a small share of m.  On pcr-vbv blocks
+# of the seeded study data, on one OpenBLAS thread (2-vCPU x86-64, OpenBLAS
+# 0.3.30), the two crossed near k / m = 0.20 at m = 55 and near 0.145 at
+# m = 241; above this share the full eigh is used.
+PARTIAL_SOLVE_SHARE = 0.15
+
+
+def _leading_eigh(corr: np.ndarray, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The leading ``n_pairs`` eigenpairs of ``corr``, values nonincreasing."""
+    size = corr.shape[0]
+    if n_pairs > PARTIAL_SOLVE_SHARE * size:
+        eigenvalues, vectors = np.linalg.eigh(corr)
+    else:
+        eigenvalues, vectors, _, _, info = dsyevr(
+            corr, range="I", lower=1, il=size - n_pairs + 1, iu=size
+        )
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"dsyevr failed on a {size} x {size} correlation block (info {info})"
+            )
+        eigenvalues = eigenvalues[:n_pairs]
+    # Both return ascending order.
+    order = np.argsort(-eigenvalues, kind="stable")[:n_pairs]
+    return eigenvalues[order], vectors[:, order]
 
 
 def _correlation(standardized: np.ndarray) -> np.ndarray:
@@ -132,13 +163,16 @@ class RunningCorrelation:
     rather than updated additively, so no rounding drift builds up over
     many refreshes.  ``solved`` holds the last extraction from each
     column block, keyed by ``columns.tobytes()``; the next solve of the
-    same block starts from it.
+    same block starts from it.  ``latest`` holds the last extraction of
+    any block and that block's columns; the first solve of another block
+    starts from it.
     """
 
     standardized: np.ndarray
     correlation: np.ndarray
     spread: np.ndarray
     solved: dict[bytes, PcaResult] = field(default_factory=dict)
+    latest: tuple[np.ndarray, PcaResult] | None = None
 
     @classmethod
     def of(cls, matrix: np.ndarray) -> RunningCorrelation:
@@ -158,8 +192,16 @@ class RunningCorrelation:
 
 # Warm-started leading eigensolve: Chebyshev-filtered subspace iteration
 # (Zhou, Saad, Tiago & Chelikowsky 2006) with Rayleigh-Ritz, restarted
-# from the previous solve's weights (Halko, Martinsson & Tropp 2011).
-FILTER_DEGREE = 4
+# from the previous solve's weights (Halko, Martinsson & Tropp 2011) and
+# one guard column.  The guard's Ritz value, the largest one outside the
+# kept ones, bounds the next solve's damped interval, as in Zhou et al.
+# A bound carried on unchanged from a chain's one exact solve, on its
+# initial fill, stays too wide: on p = 56 study data lambda_8 read 0.78
+# there against 0.47 once the targets were imputed, and warm solves took
+# 33-40 % more steps under it.  With the guard, degree 6 spent 15-20 % less
+# time than degree 4 in pcr-vbv's PCA at m = 55 and 241 with q = 7, and
+# 5-10 % less with q = 1.
+FILTER_DEGREE = 6
 FILTER_MARGIN = 1.05  # damped interval [0, FILTER_MARGIN * next eigenvalue]
 WARM_MAX_STEPS = 6
 WARM_RESIDUAL_TOL = 1e-12  # per column, ||R v - lambda v|| <= tol * lambda_1
@@ -170,11 +212,13 @@ WARM_MAX_SHARE = 0.25  # largest q / n_cols solved warm
 def _warm_leading_eigh(
     corr: np.ndarray, previous: PcaResult
 ) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """Leading eigenpairs of ``corr`` from ``previous``'s weights, or None if unconverged."""
+    """Leading q + 1 Ritz pairs of ``corr`` from ``previous``'s basis, the first q
+    converged, or None if they are not within the step budget."""
     # The floor keeps the damped interval open when the block is rank-deficient.
     upper = max(FILTER_MARGIN * previous.next_eigenvalue, 1e-2 * previous.eigenvalues[-1])
     scale = 2.0 / upper
-    basis = previous.weights
+    basis = previous.basis
+    q = previous.weights.shape[1]
     for step in range(1, WARM_MAX_STEPS + 1):
         # T_d(scale * corr - I) applied to the basis by the three-term recurrence.
         before, current = basis, scale * (corr @ basis) - basis
@@ -185,9 +229,9 @@ def _warm_leading_eigh(
         values, rotation = np.linalg.eigh(basis.T @ image)
         values, rotation = values[::-1], rotation[:, ::-1]
         basis = basis @ rotation
-        residual = np.linalg.norm(image @ rotation - basis * values, axis=0)
-        # Converged, and every value above the damped interval, as leading ones are.
-        if (residual <= WARM_RESIDUAL_TOL * values[0]).all() and values[-1] > upper:
+        residual = np.linalg.norm(image @ rotation[:, :q] - basis[:, :q] * values[:q], axis=0)
+        # The kept ones converged, and above the damped interval, as leading ones are.
+        if (residual <= WARM_RESIDUAL_TOL * values[0]).all() and values[q - 1] > upper:
             return values, basis, step
     return None
 
@@ -203,23 +247,45 @@ def _warm_start_fits(previous: PcaResult | None, n_cols: int, n_components: int)
     )
 
 
+def _warm_start(
+    running: RunningCorrelation, columns: np.ndarray, n_components: int
+) -> PcaResult | None:
+    """The solve to start from: the block's last, else the chain's latest of another
+    block of the same width, its basis rows moved onto this block's columns by
+    column id (zero for a column new to the block); None if neither fits."""
+    previous = running.solved.get(columns.tobytes())
+    moved = previous is None and running.latest is not None
+    if moved:
+        latest_columns, previous = running.latest
+    if not _warm_start_fits(previous, columns.size, n_components):
+        return None
+    if moved:
+        position = np.full(running.spread.size, -1)
+        position[latest_columns] = np.arange(latest_columns.size)
+        rows = position[columns]
+        kept = rows >= 0
+        basis = np.zeros_like(previous.basis)
+        basis[kept] = previous.basis[rows[kept]]
+        previous = replace(previous, basis=basis)
+    return previous
+
+
 def _running_components(
     running: RunningCorrelation, columns: np.ndarray, n_components: int
 ) -> PcaResult:
-    key = columns.tobytes()
-    previous = running.solved.get(key)
+    previous = _warm_start(running, columns, n_components)
     corr = running.correlation.take(columns, axis=0).take(columns, axis=1)
-    solved = None
-    if _warm_start_fits(previous, columns.size, n_components):
-        solved = _warm_leading_eigh(corr, previous)
+    solved = None if previous is None else _warm_leading_eigh(corr, previous)
     if solved is not None:
-        eigenvalues, weights, steps = solved
-        weights = _orient(weights)
-        next_eigenvalue = previous.next_eigenvalue
+        spectrum, basis, steps = solved
     else:
-        spectrum, vectors = _oriented_descending_eigh(corr)
-        eigenvalues, weights, steps = spectrum[:n_components], vectors[:, :n_components], 0
-        next_eigenvalue = float(spectrum[n_components]) if n_components < spectrum.size else 0.0
+        # q weights and, below the full block, pair q + 1.
+        n_pairs = min(n_components + 1, columns.size)
+        spectrum, basis = _leading_eigh(corr, n_pairs)
+        steps = 0
+    # Each weight column's sign is fixed; the basis keeps the solver's.
+    eigenvalues, weights = spectrum[:n_components], _orient(basis[:, :n_components])
+    next_eigenvalue = float(spectrum[n_components]) if n_components < spectrum.size else 0.0
     # Scores from the whole standardized matrix, zero weight off the block.
     embedded = np.zeros((running.standardized.shape[1], n_components))
     embedded[columns] = weights
@@ -229,8 +295,10 @@ def _running_components(
         eigenvalues=eigenvalues.copy(),
         next_eigenvalue=next_eigenvalue,
         warm_steps=steps,
+        basis=basis,
     )
-    running.solved[key] = result
+    running.solved[columns.tobytes()] = result
+    running.latest = columns, result
     return result
 
 
@@ -262,12 +330,18 @@ def pca(
         it, fresh state is built from the block, so the solve is exact.
 
     The solve warm-starts from ``running``'s last solve of the same
-    block.  The exact ``eigh`` is used instead when there is none, when
-    its count differs, when the gap after the last retained eigenvalue
-    is small, when ``n_components`` is large against the block, or when
-    the warm solve misses its residual check within its step budget.
-    Warm results agree with the exact ones to the residual tolerance,
-    not bit for bit.
+    block, or, when the block has none, from its latest solve of any
+    block with as many columns and components, whose basis is moved onto
+    this block's columns by column id (a column new to the block starts
+    at zero) and whose eigenvalues set the start's filter and checks.
+    The exact solve is used instead when there is no such solve, when the
+    gap after the last retained eigenvalue is small, when
+    ``n_components`` is large against the block, or when the warm solve
+    misses its residual check within its step budget.  It finds the
+    leading ``n_components + 1`` eigenpairs only (LAPACK ``dsyevr``), or
+    all of them (``eigh``) when those are over ``PARTIAL_SOLVE_SHARE`` of
+    the block.  Warm results agree with the exact ones to the residual
+    tolerance, not bit for bit.
     """
     if running is None:
         matrix = np.asarray(matrix, dtype=float)
@@ -387,7 +461,18 @@ def enumerate_components(
 ) -> int:
     """Apply a component-count rule to the correlation spectrum of ``matrix``."""
     matrix = np.asarray(matrix, dtype=float)
-    eigenvalues = correlation_eigenvalues(matrix)
+    return count_components(correlation_eigenvalues(matrix), matrix.shape[0], rule, rng)
+
+
+def count_components(
+    eigenvalues: np.ndarray,
+    n_rows: int,
+    rule: EnumerationRule,
+    rng: np.random.Generator | None = None,
+) -> int:
+    """Apply a component-count rule to ``eigenvalues``, the correlation
+    spectrum (nonincreasing) of a matrix with ``n_rows`` rows."""
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
     if rule.method == "kaiser":
         return kaiser_count(eigenvalues)
     if rule.method == "parallel-analysis":
@@ -395,8 +480,8 @@ def enumerate_components(
             raise ValueError("parallel analysis requires a random generator")
         return parallel_analysis_count(
             eigenvalues,
-            matrix.shape[0],
-            matrix.shape[1],
+            n_rows,
+            eigenvalues.size,
             rng,
             replicates=rule.replicates,
             quantile=rule.quantile,

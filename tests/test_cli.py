@@ -361,6 +361,39 @@ class TestEnumerateCommand:
         assert lines[3] == "component,eigenvalue"
         assert len(lines) == 4 + 6
 
+    @pytest.mark.parametrize("rule", ["kaiser", "pa", "oc", "af"])
+    def test_spectrum_is_computed_once(self, tmp_path, capsys, monkeypatch, rule):
+        path = self._complete_csv(tmp_path)
+        values = load_csv(path).values
+        pca_module = importlib.import_module("pcimpute.pca")
+        cli_module = importlib.import_module("pcimpute.cli")
+        spectrum = pca_module.correlation_eigenvalues
+        # Parallel analysis takes the spectra of its noise replicates as well;
+        # only the input's are counted.
+        of_input = []
+
+        def spy(matrix):
+            of_input.append(np.array_equal(matrix, values))
+            return spectrum(matrix)
+
+        monkeypatch.setattr(pca_module, "correlation_eigenvalues", spy)
+        monkeypatch.setattr(cli_module, "correlation_eigenvalues", spy)
+        argv = ["enumerate", "--input", str(path), "--rule", rule]
+        assert main([*argv, "--replicates", "20", "--seed", "3"]) == 0
+        assert sum(of_input) == 1
+        monkeypatch.undo()
+        # The output of a command that took the spectrum twice: once in the rule.
+        method = {tag: name for name, tag in pca_module.ENUMERATION_METHODS.items()}[rule]
+        retained = pca_module.enumerate_components(
+            values,
+            pca_module.EnumerationRule(method, replicates=20),
+            np.random.default_rng(3),
+        )
+        lines = [f"rule: {method}", "rows used: 100", f"retained components: {retained}"]
+        lines.append("component,eigenvalue")
+        lines += [f"{k},{float(v)!r}" for k, v in enumerate(spectrum(values), start=1)]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
     def test_parallel_analysis_uses_seed(self, tmp_path, capsys):
         path = self._complete_csv(tmp_path)
         assert main([
@@ -660,9 +693,9 @@ class TestEntryPoint:
         same = _child(
             f"import {first}, pcimpute.imputers as imputers, scipy.linalg.lapack as lapack; "
             "print([getattr(imputers, n) is getattr(lapack, n) "
-            "for n in ('dpotrf', 'dpotrs', 'dtrtrs')])"
+            "for n in ('dpotrf', 'dpotrs', 'dsyevr', 'dtrtrs')])"
         )
-        assert same == "[True, True, True]"
+        assert same == "[True, True, True, True]"
 
     def test_thread_controls_reach_scipy_openblas_without_scipy_linalg(self):
         counts = _child(

@@ -267,6 +267,19 @@ class TestNearestDonors:
         # Each spilling row is bisected on both sides, and no other row is.
         assert sum(searched) == 2 * spilling
 
+    @pytest.mark.parametrize("missing", ["equal", "continuous"])
+    def test_equal_predictions_skip_the_search(self, searched, missing):
+        # An intercept-only model predicts one value for every row: every gap
+        # ties, so each row's donors are the k lowest row indices.
+        pred_obs = np.full(700, 0.3)
+        if missing == "equal":
+            pred_mis = np.full(300, 0.3)
+        else:
+            pred_mis = np.random.default_rng(5).standard_normal(300)
+        pools = nearest_donors(pred_obs, pred_mis, donors=5)
+        np.testing.assert_array_equal(pools, nearest_donors_full_sort(pred_obs, pred_mis, 5))
+        assert searched == []
+
     def test_continuous_predictions_skip_the_search(self, searched):
         rng = np.random.default_rng(4)
         pred_obs, pred_mis = rng.standard_normal(750), rng.standard_normal(250)

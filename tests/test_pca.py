@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcimpute.pca import (
+    PARTIAL_SOLVE_SHARE,
     EnumerationRule,
     RunningCorrelation,
+    _leading_eigh,
+    _orient,
     acceleration_factor_count,
     correlation_eigenvalues,
     enumerate_components,
@@ -23,6 +27,9 @@ from pcimpute.pca import (
     standardize,
 )
 from tests.oracles import correlation_eigen_jacobi
+
+# ``pcimpute.pca`` is the function; the module is reached through sys.modules.
+pca_module = sys.modules["pcimpute.pca"]
 
 
 def _random_matrix(seed, n_rows=40, n_cols=6):
@@ -241,12 +248,115 @@ class TestRunningPca:
             _assert_same_components(warm, pca(x[:, block], 3))
 
     def test_changed_block_falls_back(self):
+        # The new block is one column narrower, so the latest solve's weights
+        # do not fit it and the solve is exact.
         x = _factor_matrix(13)
         running = RunningCorrelation.of(x)
         pca(x, 3, columns=np.arange(1, 60), running=running)
         result = pca(x, 3, columns=np.arange(2, 60), running=running)
         assert result.warm_steps == 0
         _assert_same_components(result, pca(x[:, 2:], 3))
+
+    @pytest.mark.parametrize("order", ["ascending", "reversed"])
+    def test_new_block_starts_warm_from_the_latest_solve(self, order):
+        # pcr-vbv's first sweep: drop column 0, impute it, then drop column 1.
+        x = _factor_matrix(27)
+        running = RunningCorrelation.of(x)
+        pca(x, 3, columns=np.arange(1, 60), running=running)
+        x[::3, 0] = np.random.default_rng(28).standard_normal(100)
+        running.refresh(x, 0)
+        block = np.delete(np.arange(60), 1)
+        if order == "reversed":
+            block = block[::-1]
+        result = pca(x, 3, columns=block, running=running)
+        assert result.warm_steps > 0
+        _assert_same_components(result, pca(x[:, block], 3))
+        # The guard column's Ritz value is a lower bound on eigenvalue 4.
+        fourth = correlation_eigenvalues(x[:, block])[3]
+        assert 0.9 * fourth < result.next_eigenvalue <= fourth * (1 + 1e-12)
+        assert result.basis.shape == (59, 4)
+        assert running.latest[1] is result and running.solved[block.tobytes()] is result
+
+    def test_warm_solve_renews_the_next_eigenvalue(self):
+        # A chain's first solve sees its initial fill: here 5 columns of pure
+        # noise, which raise eigenvalue 4.  Once they hold their data again,
+        # warm solves bound it from below instead of carrying the stale one.
+        x = _factor_matrix(29)
+        noisy = x.copy()
+        noisy[:, 1:6] = np.random.default_rng(30).standard_normal((300, 5))
+        running = RunningCorrelation.of(noisy)
+        stale = pca(noisy, 3, running=running).next_eigenvalue
+        for column in range(1, 6):
+            running.refresh(x, column)
+        fourth = correlation_eigenvalues(x)[3]
+        assert fourth < 0.8 * stale
+        for _ in range(2):
+            result = pca(x, 3, running=running)
+            assert result.warm_steps > 0
+            _assert_same_components(result, pca(x, 3))
+        assert 0.9 * fourth < result.next_eigenvalue <= fourth * (1 + 1e-12)
+
+
+def _leading_pairs_by_eigh(corr, n_pairs):
+    values, vectors = np.linalg.eigh(corr)
+    order = np.argsort(-values, kind="stable")[:n_pairs]
+    return values[order], _orient(vectors[:, order])
+
+
+class TestLeadingPairs:
+    """The exact solve asks LAPACK for the leading q + 1 pairs, or takes the
+    full ``eigh`` when they are a large share of the block."""
+
+    @pytest.mark.parametrize("n_cols", [55, 241])
+    @pytest.mark.parametrize("side", ["partial", "full"])
+    def test_matches_full_eigh_on_both_sides_of_the_crossover(self, n_cols, side):
+        x = _factor_matrix(17, n_cols=n_cols)
+        corr = RunningCorrelation.of(x).correlation
+        partial = int(PARTIAL_SOLVE_SHARE * n_cols)
+        n_pairs = partial if side == "partial" else partial + 1
+        values, weights = _leading_eigh(corr, n_pairs)
+        weights = _orient(weights)
+        expected_values, expected_weights = _leading_pairs_by_eigh(corr, n_pairs)
+        np.testing.assert_allclose(values, expected_values, rtol=1e-12)
+        np.testing.assert_allclose(weights, expected_weights, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n_components", [3, 20])
+    def test_pca_keeps_q_pairs_and_the_next_eigenvalue(self, n_components):
+        # q + 1 = 4 pairs of 60 take the partial solve, 21 the full eigh.
+        x = _factor_matrix(19)
+        result = pca(x, n_components)
+        corr = RunningCorrelation.of(x).correlation
+        values, weights = _leading_pairs_by_eigh(corr, n_components + 1)
+        assert result.warm_steps == 0
+        np.testing.assert_allclose(result.eigenvalues, values[:-1], rtol=1e-12)
+        np.testing.assert_allclose(result.weights, weights[:, :-1], rtol=0, atol=1e-10)
+        assert result.next_eigenvalue == pytest.approx(values[-1], rel=1e-12)
+
+    def test_every_component_kept_has_next_eigenvalue_zero(self):
+        x = _factor_matrix(21, n_cols=8)
+        result = pca(x, 8)
+        assert result.next_eigenvalue == 0.0
+        np.testing.assert_allclose(result.eigenvalues, correlation_eigenvalues(x), rtol=1e-12)
+
+    def test_rank_deficient_block_with_duplicate_columns(self):
+        # 15 copies of each of 4 columns: rank 4 of 60, so eigenvalue 5 is zero.
+        x = np.tile(_factor_matrix(23, n_cols=4), 15)
+        result = pca(x, 4)
+        values, weights = _leading_pairs_by_eigh(RunningCorrelation.of(x).correlation, 4)
+        assert result.warm_steps == 0
+        np.testing.assert_allclose(result.eigenvalues, values, rtol=1e-12)
+        np.testing.assert_allclose(result.weights, weights, rtol=0, atol=1e-10)
+        assert result.next_eigenvalue == pytest.approx(0.0, abs=1e-12)
+
+    def test_lapack_failure_is_labelled(self, monkeypatch):
+        def failing(corr, **options):
+            size = corr.shape[0]
+            return np.zeros(size), np.zeros((size, 4)), 0, np.zeros(0, dtype=np.int32), 3
+
+        monkeypatch.setattr(pca_module, "dsyevr", failing)
+        message = r"dsyevr failed on a 60 x 60 correlation block \(info 3\)"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            pca(_factor_matrix(25), 3)
 
 
 class TestEnumerationRules:
