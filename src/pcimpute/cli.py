@@ -43,7 +43,7 @@ from .engine import (  # noqa: E402
     ImputationSpec,
     run_impute,
 )
-from .imputers import IMPUTER_BAYES, IMPUTER_KINDS, IMPUTER_PMM  # noqa: E402
+from .imputers import DEFAULT_DONORS, IMPUTER_BAYES, IMPUTER_KINDS, IMPUTER_PMM  # noqa: E402
 from .pca import (  # noqa: E402
     ENUMERATION_METHODS,
     EnumerationRule,
@@ -131,8 +131,12 @@ def _build_parser() -> _Parser:
         default=MAX_COMPONENTS,
         help="retained component count for pcr methods (integer or 'max')",
     )
-    imp.add_argument("--m", type=_positive, default=5, help="number of completed datasets")
-    imp.add_argument("--maxit", type=_positive, default=20, help="sweeps per chain")
+    imp.add_argument(
+        "--m", type=_positive, default=ImputationSpec.chains, help="number of completed datasets"
+    )
+    imp.add_argument(
+        "--maxit", type=_positive, default=ImputationSpec.iterations, help="sweeps per chain"
+    )
     imp.add_argument(
         "--targets",
         "--analysis-cols",
@@ -151,7 +155,9 @@ def _build_parser() -> _Parser:
         default=IMPUTER_PMM,
         help="univariate draw (default pmm for file workflows)",
     )
-    imp.add_argument("--donors", type=_positive, default=5, help="pmm donor-pool size")
+    imp.add_argument(
+        "--donors", type=_positive, default=DEFAULT_DONORS, help="pmm donor-pool size"
+    )
     imp.add_argument("--out-prefix", required=True, help="prefix for output CSV files")
     imp.set_defaults(func=cmd_impute)
 
@@ -172,9 +178,17 @@ def _build_parser() -> _Parser:
     )
     enum.add_argument("--input", required=True, help="CSV file")
     enum.add_argument("--rule", required=True, choices=sorted(ENUMERATION_METHODS.values()))
-    enum.add_argument("--replicates", type=int, default=100, help="parallel-analysis draws")
     enum.add_argument(
-        "--quantile", type=float, default=0.95, help="parallel-analysis threshold quantile"
+        "--replicates",
+        type=int,
+        default=EnumerationRule.replicates,
+        help="parallel-analysis draws",
+    )
+    enum.add_argument(
+        "--quantile",
+        type=float,
+        default=EnumerationRule.quantile,
+        help="parallel-analysis threshold quantile",
     )
     enum.add_argument(
         "--complete-cases",

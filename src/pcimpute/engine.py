@@ -218,7 +218,8 @@ def _abs_correlations(a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndar
 
     ``a`` and ``rows`` are (p, n), ``b`` is (p, n) or (n,).  Both sides are
     centred on their means over the rows, and the centred cells summed in
-    a second pass, as ``np.std`` does.  A row with fewer than two cells, or
+    a second pass, as ``np.std`` does: a one-pass ``sum(x^2) - n mean^2``
+    cancels on offset columns.  A row with fewer than two cells, or
     with a side that is constant on them (no cell differs from the first),
     counts 0.0.
     """
@@ -498,6 +499,12 @@ class _Design:
     observed rows (``x_mis`` with the same centres), and a border column is
     centred again when it is rewritten, so the draw sees no predictor's
     location.  It holds n x r predictor cells and their r x r Gram, unridged.
+
+    The columns keep this order, and the draw factors the whole Gram.  A
+    block factor with the fixed columns first would reuse their factor, but
+    the draw pushes its noise through the factor, and a factor of reordered
+    columns turns the same noise into a different sample (one predicted
+    value moved by 5.7 in a prototype at r = 241).
     """
 
     def __init__(self, plan: _Plan, target: int) -> None:
@@ -507,6 +514,8 @@ class _Design:
         held = raw[complete]
         flat = np.ptp(plan.data.values[np.ix_(self.observed, held)], axis=0) == 0.0
         _warn_dropped(plan, held[flat], target)
+        # Not ``np.union1d``: ``np.unique`` imports ``numpy.ma`` on first call,
+        # which a fresh ``pcimpute impute`` process need not load.
         self.columns = np.sort(np.concatenate([held[~flat], raw[~complete]]))
         self.moving = np.flatnonzero(~plan.data.mask[:, self.columns].all(axis=0))
         self.flat = np.zeros(self.columns.size, dtype=bool)
@@ -542,9 +551,11 @@ class _Design:
         self.x_mis[:, border] = values[~self.observed] - centres
         # The refresh costs O(n r b) against the full product's O(n r^2 / 2).
         # Both read the stored columns, which are centred already.  The Gram is
-        # kept in Fortran order, so the draw's copy of it for LAPACK is a plain one.
+        # kept in Fortran order, so the draw's copy of it for LAPACK is a plain
+        # one: numpy forms ``x.T @ x`` by ``syrk`` and mirrors one triangle, so
+        # the product is exactly symmetric and its transpose is that Gram.
         if rebuild or 2 * border.size >= width:
-            self.gram = np.asfortranarray(self.x_obs.T @ self.x_obs)
+            self.gram = (self.x_obs.T @ self.x_obs).T
         elif border.size:
             _refresh_gram(self.gram, self.x_obs, border)
 
@@ -740,7 +751,10 @@ def _blas_threads(count: int):
     """Run the body with every loaded OpenBLAS at ``count`` threads, then restore each.
 
     A multithreaded BLAS may split a product differently and so round
-    differently.  Does nothing without OpenBLAS.
+    differently, and a run is many small products and eigensolves, where a
+    second thread buys little wall time for much more CPU.  The draw's
+    factorisations run in scipy's OpenBLAS and the PCA in numpy's, so both
+    are set.  Does nothing without OpenBLAS.
     """
     controls = _openblas_thread_controls()
     saved = [get() for get, _ in controls]

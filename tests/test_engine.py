@@ -679,6 +679,23 @@ class TestCachedDesign:
                 gap = ~data.mask[:, j]
                 working[gap, j] = rng.standard_normal(int(gap.sum()))
 
+    @pytest.mark.parametrize(
+        "strategy, options",
+        [(STRATEGY_VBV, {"n_components": 3}), (STRATEGY_QUICKPRED, {"corr_threshold": 0.0})],
+    )
+    def test_rebuilt_gram_is_fortran_order_and_exactly_symmetric(self, strategy, options):
+        # The design keeps the transpose of ``x_obs.T @ x_obs`` as its Fortran-order
+        # Gram, which holds the same values only if the product is exactly symmetric.
+        data = make_incomplete(seed=95, n_cols=10)
+        plan = engine._PLANS[strategy](_spec(strategy, **options), data)
+        working = initialize_fill(data, np.random.default_rng(95))
+        engine.build_predictors(plan, working, 0, plan.new_chain(working))
+        design = plan.designs[0]
+        gram = design.gram
+        assert gram.flags.f_contiguous and gram.shape[0] > 2
+        assert gram.tobytes() == gram.T.tobytes()
+        assert gram.tobytes() == (design.x_obs.T @ design.x_obs).tobytes()
+
     def test_incomplete_predictor_turning_constant_sits_out_one_visit(self, caplog):
         data = make_incomplete(seed=91, n_analysis=3)
         values = data.values.copy()

@@ -43,7 +43,7 @@ and ``mar_diagnostics`` on seeded conditions (``float.hex`` of each
 target's ``auc`` and ``pseudo_r2``).  Apart from the pre-pass, which
 has no public entry, only the public API is used, so any checkout that
 has ``engine._prepass_complete(spec, data, rng)`` can run it.  Takes
-about ten seconds on 2 vCPUs.
+about 4 seconds on 2 vCPUs.
 
 Two more modes measure a numerical change that is not bit-identical.
 ``--save DIR`` writes each case's arrays (a run's completions, trace
@@ -60,8 +60,11 @@ The digests are committed in ``tests/data/completion_digests.txt``,
 which ``tests/test_completion_digests.py`` compares with a fresh run.
 The first line printed is a stamp of the builds the bits depend on
 (Python, numpy, scipy, and the BLAS each links, with the CPU kernels it
-chose at load); the test skips where the stamp differs.  A change that
-moves bits on purpose regenerates the file:
+chose at load); the test skips where the stamp differs.  Every
+``run_impute`` holds one OpenBLAS thread, so the digests do not depend
+on the process's thread count: the test runs the script at the
+machine's default count.  A change that moves bits on purpose
+regenerates the file and names in CHANGES.md the digests that moved:
 
     PYTHONPATH=src python tools/completion_digests.py > tests/data/completion_digests.txt
 """
