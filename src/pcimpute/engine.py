@@ -8,7 +8,8 @@ predictor matrix assembled by the run's plan, the one per-run object
 keeps each target's predictors on its observed and missing rows, and
 their Gram, from the target's first visit on; a later visit rewrites
 only the columns that can have changed (incomplete raw columns,
-per-visit scores) and their Gram rows.  The strategies:
+per-visit scores) and their Gram rows, and the draw factors the block
+of the columns that cannot change once per run.  The strategies:
 
 * ``pcr-vbv``     principal-component scores of every other column,
                   recomputed from the current working matrix at every
@@ -60,6 +61,7 @@ from .imputers import (
     IMPUTER_BAYES,
     IMPUTER_KINDS,
     IMPUTER_PMM,
+    BorderedGram,
     draw_linear_params,
     draw_predictive,
     pmm_impute,
@@ -304,7 +306,8 @@ class _Plan:
     counters.
 
     A visit's predictors are the target's ``raw`` columns that are not
-    constant on its observed rows, then the plan's ``scores``.  The pcr plans
+    constant on its observed rows, and the plan's ``scores`` (``_Design``
+    orders them).  The pcr plans
     settle q during set-up from their predictor budget: the width of the
     block their components come from and each target's raw columns.
     ``stage`` prefixes the run's warnings and errors (``"pre-pass "`` in the
@@ -472,12 +475,12 @@ def _fixed_scores(plan: _Plan, columns: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _refresh_gram(gram: np.ndarray, x: np.ndarray, border: np.ndarray) -> None:
+def _refresh_gram(gram: np.ndarray, x: np.ndarray, start: int) -> None:
     """Recompute, in place, the rows and columns of ``gram = x.T @ x`` that belong
-    to the centred predictors at positions ``border`` of ``x``, in O(n r b)."""
-    cross = x[:, border].T @ x
-    gram[:, border] = cross.T
-    gram[border, :] = cross
+    to the centred predictors from position ``start`` of ``x`` on, in O(n r b)."""
+    cross = x[:, start:].T @ x
+    gram[:, start:] = cross.T
+    gram[start:, :] = cross
 
 
 class _Design:
@@ -485,26 +488,30 @@ class _Design:
 
     Made at the target's first visit and kept on the plan, so every chain
     and sweep shares it.  A raw column that is constant on the target's
-    observed rows tells the draw nothing, so it sits out.  Its raw columns
-    are the target's complete raw columns that are not (checked here, once
-    per run, since they never change), then all of its incomplete ones, in
-    ascending order; the plan's scores follow.  ``fill`` checks the
-    incomplete ones on each visit's observed cells and marks those that are
-    constant in ``flat``.  A later visit rewrites only the ``border``, the
-    columns that can change between visits (the incomplete raw columns, and
-    every score under ``pcr-vbv``), and refreshes their Gram rows and
-    columns; when the border is half the columns or more, the full product
-    is cheaper and replaces the Gram.  A width change (a per-visit q that
-    shrank) rebuilds it.  Every column is stored centred on the target's
-    observed rows (``x_mis`` with the same centres), and a border column is
-    centred again when it is rewritten, so the draw sees no predictor's
-    location.  It holds n x r predictor cells and their r x r Gram, unridged.
+    observed rows tells the draw nothing, so it sits out.  The columns come
+    in two blocks.  The ``static`` block cannot change between visits: the
+    target's complete raw columns that are not constant (``fixed``, checked
+    here, once per run), then the plan's fixed scores.  The border follows:
+    its incomplete raw columns (``moving``), then ``pcr-vbv``'s per-visit
+    scores; ``fill`` checks the moving ones on each visit's observed cells
+    and marks those that are constant in ``flat``.  Raw columns keep
+    ascending order within each block.  A later visit rewrites only the
+    border and refreshes its Gram rows and columns; when the border is half
+    the columns or more, the full product is cheaper and replaces the Gram.
+    A width change (a per-visit q that shrank) rebuilds it.  Every column is
+    stored centred on the target's observed rows (``x_mis`` with the same
+    centres), and a border column is centred again when it is rewritten, so
+    the draw sees no predictor's location.  It holds n x r predictor cells
+    and their r x r Gram, unridged.
 
-    The columns keep this order, and the draw factors the whole Gram.  A
-    block factor with the fixed columns first would reuse their factor, but
-    the draw pushes its noise through the factor, and a factor of reordered
-    columns turns the same noise into a different sample (one predicted
-    value moved by 5.7 in a prototype at r = 241).
+    The draw factors the ridged static block once, at the target's first
+    visit, and keeps the factor in ``factors``; each visit then factors only
+    the border's Schur complement (``imputers.BorderedGram``).  The column
+    order decides which square root of the slopes' posterior covariance maps
+    the draw's noise, so reordering the columns changes a seeded sample but
+    not the posterior it comes from: the predicted value that moved by 5.7
+    when a prototype at r = 241 put the fixed columns first is another
+    sample of the same posterior, not a fault.
     """
 
     def __init__(self, plan: _Plan, target: int) -> None:
@@ -514,50 +521,52 @@ class _Design:
         held = raw[complete]
         flat = np.ptp(plan.data.values[np.ix_(self.observed, held)], axis=0) == 0.0
         _warn_dropped(plan, held[flat], target)
-        # Not ``np.union1d``: ``np.unique`` imports ``numpy.ma`` on first call,
-        # which a fresh ``pcimpute impute`` process need not load.
-        self.columns = np.sort(np.concatenate([held[~flat], raw[~complete]]))
-        self.moving = np.flatnonzero(~plan.data.mask[:, self.columns].all(axis=0))
-        self.flat = np.zeros(self.columns.size, dtype=bool)
+        self.fixed = held[~flat]
+        self.moving = raw[~complete]
+        scores = plan.fixed_scores
+        self.static = self.fixed.size + (0 if scores is None else scores.shape[1])
+        self.flat = np.zeros(self.moving.size, dtype=bool)
         self.gram: np.ndarray | None = None
+        self.factors: dict[float, np.ndarray] = {}
 
     def fill(self, plan: _Plan, working: np.ndarray, scores: np.ndarray | None) -> None:
         """Write this visit's predictors and bring the Gram up to date."""
-        n_raw = self.columns.size
-        width = n_raw + (0 if scores is None else scores.shape[1])
+        per_visit = None if plan.fixed_scores is not None else scores
+        k = self.static
+        width = k + self.moving.size + (0 if per_visit is None else per_visit.shape[1])
         rebuild = self.gram is None or self.gram.shape[0] != width
+        if not rebuild and width == k:
+            return  # nothing moves
         if rebuild:
-            border = np.arange(width)
+            start = 0
             self.x_obs = np.empty((int(self.observed.sum()), width))
             self.x_mis = np.empty((self.observed.size - self.x_obs.shape[0], width))
-        elif scores is not None and plan.fixed_scores is None:
-            border = np.concatenate([self.moving, np.arange(n_raw, width)])
+            blocks = [working[:, self.fixed], plan.fixed_scores, working[:, self.moving], per_visit]
         else:
-            border = self.moving
-        raw_border = border[border < n_raw]
-        values = working[:, self.columns[raw_border]]
-        if border.size > values.shape[1]:
-            values = np.hstack([values, scores])
+            start = k
+            blocks = [working[:, self.moving], per_visit]
+        blocks = [block for block in blocks if block is not None]
+        values = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
         observed = values[self.observed]
         # Each centre sums its column's own contiguous cells, so it does not
         # depend on how many columns the border holds.  The flat check reads
         # the same copy: a row-major block's rows are slow to reduce.
         by_column = np.ascontiguousarray(observed.T)
         centres = by_column.mean(axis=1)
-        if raw_border.size:
-            self.flat[raw_border] = np.ptp(by_column[: raw_border.size], axis=1) == 0.0
+        if self.moving.size:
+            self.flat = np.ptp(by_column[k - start : k - start + self.moving.size], axis=1) == 0.0
         del by_column  # n x r cells on a rebuild, freed before the Gram is built
-        self.x_obs[:, border] = observed - centres
-        self.x_mis[:, border] = values[~self.observed] - centres
+        self.x_obs[:, start:] = observed - centres
+        self.x_mis[:, start:] = values[~self.observed] - centres
         # The refresh costs O(n r b) against the full product's O(n r^2 / 2).
         # Both read the stored columns, which are centred already.  The Gram is
         # kept in Fortran order, so the draw's copy of it for LAPACK is a plain
         # one: numpy forms ``x.T @ x`` by ``syrk`` and mirrors one triangle, so
         # the product is exactly symmetric and its transpose is that Gram.
-        if rebuild or 2 * border.size >= width:
+        if rebuild or 2 * (width - start) >= width:
             self.gram = (self.x_obs.T @ self.x_obs).T
-        elif border.size:
-            _refresh_gram(self.gram, self.x_obs, border)
+        else:
+            _refresh_gram(self.gram, self.x_obs, start)
 
 
 def build_predictors(
@@ -565,17 +574,18 @@ def build_predictors(
     working: np.ndarray,
     target: int,
     state: RunningCorrelation | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, BorderedGram]:
     """The predictors of one column visit, as ``(x_obs, x_mis, gram)``.
 
     ``working`` must be a complete matrix holding current draws in the
     missing cells, and ``state`` the chain's ``plan.new_chain`` state.
     The predictors are the target's raw columns under ``plan`` that are
     not constant on its observed rows of ``working`` (``_Design`` decides
-    which), followed by the plan's component scores, on the target's
-    observed rows (``x_obs``) and missing rows (``x_mis``), each centred
-    on its mean over the observed rows; ``gram`` is ``x_obs.T @ x_obs``
-    up to rounding, unridged.
+    which), and the plan's component scores, static block first, on the
+    target's observed rows (``x_obs``) and missing rows (``x_mis``), each
+    centred on its mean over the observed rows; ``gram`` holds
+    ``x_obs.T @ x_obs`` up to rounding, unridged, and the target's factor
+    of its static block once a draw has made it.
     They are the plan's cache for the target (see ``_Design``), valid
     until the target's next visit.
     """
@@ -583,13 +593,15 @@ def build_predictors(
     if design is None:
         design = plan.designs[target] = _Design(plan, target)
     design.fill(plan, working, plan.scores(working, target, state))
+    static = design.static
     dead = np.flatnonzero(design.flat)
     if dead.size == 0:
-        return design.x_obs, design.x_mis, design.gram
-    _warn_dropped(plan, design.columns[dead], target)
-    # A moving column that is flat at this visit sits out this visit only.
-    keep = np.delete(np.arange(design.x_obs.shape[1]), dead)
-    return design.x_obs[:, keep], design.x_mis[:, keep], design.gram[np.ix_(keep, keep)]
+        return design.x_obs, design.x_mis, BorderedGram(design.gram, static, None, design.factors)
+    _warn_dropped(plan, design.moving[dead], target)
+    # A moving column that is flat at this visit sits out of this visit's border only.
+    keep = np.delete(np.arange(design.x_obs.shape[1]), static + dead)
+    gram = BorderedGram(design.gram, static, keep[static:], design.factors)
+    return design.x_obs[:, keep], design.x_mis[:, keep], gram
 
 
 def _impute_column(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
 from types import ModuleType
@@ -91,35 +91,133 @@ class LinearModelDraw:
         return self.coefficients[0] + x @ self.coefficients[1:]
 
 
-def _solve(x: np.ndarray, y: np.ndarray, ridge: float, gram: np.ndarray | None):
+@dataclass(eq=False)
+class BorderedGram:
+    """An unridged centred Gram whose leading ``static`` columns are the same at every draw.
+
+    ``matrix`` is the Gram of every column a caller keeps.  A draw's
+    predictors are its first ``static`` columns, then its ``border``
+    columns: ascending positions in ``matrix``, each at least ``static``,
+    or None for all of them.  The first draw factors the ridged static
+    block and keeps its lower Cholesky factor in ``factors``, keyed by the
+    ridge, so every later draw that shares ``factors`` (and so must see the
+    same static block) factors only its border.
+    """
+
+    matrix: np.ndarray
+    static: int = 0
+    border: np.ndarray | None = None
+    factors: dict[float, np.ndarray] = field(default_factory=dict)
+
+    def width(self) -> int:
+        """The draw's predictor count: the static block's and the border's."""
+        if self.border is None:
+            return self.matrix.shape[0]
+        return self.static + self.border.size
+
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The draw's Gram as its static, static-by-border and border blocks."""
+        k, border, matrix = self.static, self.border, self.matrix
+        if border is None:
+            return matrix[:k, :k], matrix[:k, k:], matrix[k:, k:]
+        return matrix[:k, :k], matrix[:k, border], matrix[np.ix_(border, border)]
+
+
+def _bordered(gram, r: int) -> BorderedGram:
+    """``gram`` as a ``BorderedGram`` of ``r`` predictors, or a ``ValueError`` naming it."""
+    if not isinstance(gram, BorderedGram):
+        gram = np.asarray(gram, dtype=float)
+        if gram.shape != (r, r):
+            raise ValueError(f"gram must be {r} x {r} for {r} predictors, got shape {gram.shape}")
+        return BorderedGram(gram)
+    shape, k, border = np.shape(gram.matrix), gram.static, gram.border
+    if len(shape) != 2 or shape[0] != shape[1] or not 0 <= k <= shape[0]:
+        raise ValueError(f"gram must be square with its static block inside, got {shape}, {k}")
+    if border is not None and border.size and not k <= border.min() <= border.max() < shape[0]:
+        raise ValueError(f"gram border positions must lie in [{k}, {shape[0]})")
+    if gram.width() != r:
+        raise ValueError(f"gram covers {gram.width()} columns for {r} predictors")
+    return gram
+
+
+def _not_positive_definite(minor: int, r: int, *blocks: np.ndarray) -> ValueError:
+    """The error for a ridged Gram of order ``r`` whose leading ``minor`` is not positive."""
+    if not all(np.isfinite(block).all() for block in blocks):
+        return ValueError("non-finite regression coefficients: X'X or X'y overflowed")
+    return np.linalg.LinAlgError(
+        f"ridged Gram is not positive definite (leading minor {minor} of {r})"
+    )
+
+
+def _cholesky(block: np.ndarray, ridge: float, before: int, r: int, *parts) -> np.ndarray:
+    """The lower Cholesky factor of ``block + ridge * I``; ``block`` is not written.
+
+    ``before`` leading minors of the draw's order-``r`` Gram precede the
+    block, so a failure names the whole Gram's minor; ``parts``, the blocks
+    ``block`` came from, are checked for overflow only then.
+    """
+    # LAPACK factors in place the Fortran-order copy f2py would otherwise make.
+    # It reads the lower triangle (a Gram refreshed in place need not be
+    # bitwise symmetric); ``clean`` zeroes the upper one.
+    ridged = np.array(block, order="F")
+    ridged.flat[:: len(ridged) + 1] += ridge  # the diagonal, in either memory order
+    lower, info = dpotrf(ridged, lower=1, clean=1, overwrite_a=1)
+    if info != 0:  # the order of the block's first leading minor that is not positive
+        raise _not_positive_definite(before + info, r, *parts)
+    return lower
+
+
+def _factor(gram: BorderedGram, ridge: float) -> np.ndarray:
+    """The lower Cholesky factor of the draw's Gram plus ``ridge * I``; the one
+    place the ridge is added.
+
+    Without a static block this is one ``dpotrf`` of the whole Gram.  With
+    one, ``L_s``, the static block's factor, comes from ``gram.factors``
+    (made at the first draw), ``W = L_s^-1 G_sb`` from one triangular solve,
+    and ``L_b`` from the border's Schur complement ``G_bb + ridge I - W'W``;
+    the factor is ``[[L_s, 0], [W', L_b]]`` (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., section 4.2).  A failure names the first
+    leading minor of the whole ridged Gram that is not positive.
+    """
+    k, r = gram.static, gram.width()
+    g_ss, g_sb, g_bb = gram.blocks()
+    if not k:
+        return _cholesky(g_bb, ridge, 0, r, g_bb)
+    static = gram.factors.get(ridge)
+    if static is None:
+        static = gram.factors[ridge] = _cholesky(g_ss, ridge, 0, r, g_ss)
+    if r == k:
+        return static
+    w = dtrtrs(static, g_sb, lower=1)[0]
+    border = _cholesky(g_bb - w.T @ w, ridge, k, r, g_ss, g_sb, g_bb)
+    lower = np.empty((r, r), order="F")
+    lower[:k, :k] = static
+    lower[:k, k:] = 0.0
+    lower[k:, :k] = w.T
+    lower[k:, k:] = border
+    return lower
+
+
+def _solve(x: np.ndarray, y: np.ndarray, ridge: float, gram):
     """The ridged slopes of ``y ~ 1 + x`` on centred predictors.
 
     ``gram`` is ``xc' xc``, the unridged cross-product of ``x``'s centred
-    columns (formed when None); this is the one place ``ridge * I`` is added.
-    Returns ``(slopes, lower)``, ``lower`` the lower Cholesky factor of
+    columns (formed when None), as an r x r array or a ``BorderedGram``;
+    ``_factor`` is the one place ``ridge * I`` is added.  Returns
+    ``(slopes, lower)``, ``lower`` the lower Cholesky factor of
     ``xc' xc + ridge * I``.  The unridged intercept in ``x``'s coordinates,
     ``mean(y) - mean(x) @ slopes``, is the mean of ``y - x @ slopes``.
     """
     if x.shape[0] != y.shape[0]:
         raise ValueError("predictor and outcome row counts differ")
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be nonnegative and finite, got {ridge!r}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("design and outcome must be finite")
     if gram is None:
         centred = x - x.mean(axis=0)
         gram = centred.T @ centred
-    # LAPACK factors in place the Fortran-order copy f2py would otherwise make,
-    # so ``gram`` is not written.  It reads the lower triangle (a Gram refreshed
-    # in place need not be bitwise symmetric); ``clean`` zeroes the upper one.
-    ridged = np.array(gram, order="F")
-    ridged.flat[:: len(ridged) + 1] += ridge  # the diagonal, in either memory order
-    lower, info = dpotrf(ridged, lower=1, clean=1, overwrite_a=1)
-    if info != 0:
-        # ``info`` is the order of the first leading minor that is not positive.
-        if not np.isfinite(gram).all():
-            raise ValueError("non-finite regression coefficients: X'X or X'y overflowed")
-        raise np.linalg.LinAlgError(
-            f"ridged Gram is not positive definite (leading minor {info} of {gram.shape[0]})"
-        )
+    lower = _factor(_bordered(gram, x.shape[1]), ridge)
     # The centred outcome sums to zero, so x' (y - mean) is the centred cross product.
     # LAPACK refuses the empty system of an intercept-only model.
     slopes = dpotrs(lower, x.T @ (y - y.sum() / y.size), lower=1)[0] if x.shape[1] else np.empty(0)
@@ -155,7 +253,7 @@ def draw_linear_params(
     x_obs: np.ndarray,
     rng: np.random.Generator,
     ridge: float = DEFAULT_RIDGE,
-    gram: np.ndarray | None = None,
+    gram: np.ndarray | BorderedGram | None = None,
 ) -> LinearModelDraw:
     """Draw linear-model parameters from their posterior.
 
@@ -169,15 +267,17 @@ def draw_linear_params(
     only the intercept.  ``gram``, when given, must be ``Xc'Xc`` (up to
     rounding), never ridged by the caller, and is not written: a caller
     that keeps it across draws whose predictors barely change saves its
-    O(n_obs r^2) product.
+    O(n_obs r^2) product.  As a ``BorderedGram`` whose static block is the
+    same at every draw, it also saves the O(r^3 / 3) factor of that block.
 
     Raises
     ------
     ValueError
-        With an "overparameterized imputation model" message when the
-        degrees of freedom are not positive, and with a "non-finite
-        regression coefficients" message when ``X'X`` or ``X'y``
-        overflowed.
+        Naming ``ridge`` when it is negative or not finite, and ``gram``
+        when it does not cover the r predictors; with an
+        "overparameterized imputation model" message when the degrees of
+        freedom are not positive, and with a "non-finite regression
+        coefficients" message when ``X'X`` or ``X'y`` overflowed.
     numpy.linalg.LinAlgError
         A ``ValueError`` too, naming the leading minor at which the
         ridged Gram is not positive definite.
@@ -334,7 +434,7 @@ def pmm_impute(
     rng: np.random.Generator,
     donors: int = DEFAULT_DONORS,
     ridge: float = DEFAULT_RIDGE,
-    gram: np.ndarray | None = None,
+    gram: np.ndarray | BorderedGram | None = None,
 ) -> np.ndarray:
     """Impute by predictive-mean matching against observed outcomes.
 
@@ -343,7 +443,8 @@ def pmm_impute(
     missing row then receives the observed outcome of one donor
     drawn uniformly from its ``donors`` nearest observed rows.  Every
     imputed value is therefore an observed value of the column.
-    ``ridge`` and ``gram`` (unridged) pass through to ``draw_linear_params``.
+    ``ridge`` and ``gram`` (unridged) pass through to ``draw_linear_params``,
+    which refuses them as it says.
     """
     x_obs, y_obs = _inputs(x_obs, y_obs)
     x_mis = np.asarray(x_mis, dtype=float)

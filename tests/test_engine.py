@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcimpute import engine
+from pcimpute import engine, imputers
 from pcimpute.data import IncompleteData, ROLE_ANALYSIS
 from pcimpute.engine import (
     MAX_COMPONENTS,
@@ -28,7 +28,7 @@ from pcimpute.engine import (
     quickpred_select,
     run_impute,
 )
-from pcimpute.imputers import IMPUTER_KINDS, IMPUTER_PMM, draw_linear_params
+from pcimpute.imputers import DEFAULT_RIDGE, IMPUTER_KINDS, IMPUTER_PMM, draw_linear_params
 from pcimpute.pca import RunningCorrelation, pca
 from tests.helpers import (
     assert_observed_preserved,
@@ -646,12 +646,26 @@ def _centred(columns, rows):
     return columns - np.array([column[rows].mean() for column in columns.T])
 
 
+def _dense(gram):
+    """The draw's unridged Gram that a ``BorderedGram`` stands for, as one array."""
+    g_ss, g_sb, g_bb = gram.blocks()
+    return np.block([[g_ss, g_sb], [g_sb.T, g_bb]])
+
+
+def _layout(plan, target):
+    """The raw columns of ``target``'s design in its column order: complete ones first."""
+    raw = plan.raw[target]
+    complete = plan.data.mask[:, raw].all(axis=0)
+    return np.concatenate([raw[complete], raw[~complete]])
+
+
 class TestCachedDesign:
     """Each target's predictors and their Gram, kept on the plan across visits."""
 
     @staticmethod
     def _plan(data):
-        # Threshold 0 screens every other column in, in ascending order.
+        # Threshold 0 screens every other column in, in ascending order; the
+        # design puts the complete ones first, the incomplete ones last.
         return engine._QuickpredPlan(_spec(STRATEGY_QUICKPRED, corr_threshold=0.0), data)
 
     @settings(max_examples=25)
@@ -665,11 +679,11 @@ class TestCachedDesign:
         y_obs = data.values[observed, 0]
         for _ in range(3):
             x_obs, x_mis, gram = engine.build_predictors(plan, working, 0)
-            gathered = working[:, plan.raw[0]]
+            gathered = working[:, _layout(plan, 0)]
             centred = _centred(gathered, observed)
             np.testing.assert_array_equal(x_obs, centred[observed])
             np.testing.assert_array_equal(x_mis, centred[~observed])
-            np.testing.assert_allclose(gram, x_obs.T @ x_obs, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(_dense(gram), x_obs.T @ x_obs, rtol=0, atol=1e-9)
             cached = draw_linear_params(y_obs, x_obs, np.random.default_rng(1), gram=gram)
             fresh = draw_linear_params(y_obs, centred[observed], np.random.default_rng(1))
             np.testing.assert_allclose(cached.coefficients, fresh.coefficients, rtol=0, atol=1e-9)
@@ -720,12 +734,12 @@ class TestCachedDesign:
                     assert np.ptp(working[:, 2]) > 0 or off_target == 0.0
                     x_obs, x_mis, gram = engine.build_predictors(plan, working, 0)
                     widths.append(x_obs.shape[1])
-                    live = [j for j in plan.raw[0] if np.ptp(working[observed, j]) > 0]
+                    live = [j for j in _layout(plan, 0) if np.ptp(working[observed, j]) > 0]
                     gathered = working[:, live]
                     centred = _centred(gathered, observed)
                     np.testing.assert_array_equal(x_obs, centred[observed])
                     np.testing.assert_array_equal(x_mis, centred[~observed])
-                    np.testing.assert_allclose(gram, x_obs.T @ x_obs, rtol=0, atol=1e-9)
+                    np.testing.assert_allclose(_dense(gram), x_obs.T @ x_obs, rtol=0, atol=1e-9)
             assert widths == [4, 5, 4, 5]
             messages = [rec.message for rec in caplog.records]
             assert messages == [
@@ -758,7 +772,7 @@ class TestCachedDesign:
         # made; it is in neither design, so no visit checks it again.  Each
         # target's draw loses it, so each target's warning names it.
         assert len(designs) == 2 and sum(4 in ids for ids in dropped) == 2
-        assert all(4 not in design.columns for design in designs)
+        assert all(4 not in design.fixed and 4 not in design.moving for design in designs)
         messages = [rec.message for rec in caplog.records]
         assert messages == [
             "dropping predictor column(s) constant on x1's observed rows: x5",
@@ -786,7 +800,7 @@ class TestCachedDesign:
         def record(plan, working, target, state=None):
             predictors = build(plan, working, target, state)
             design = plan.designs[target]
-            visits.append(design.columns[~design.flat].tolist())
+            visits.append(np.concatenate([design.fixed, design.moving[~design.flat]]).tolist())
             return predictors
 
         monkeypatch.setattr(engine, "build_predictors", record)
@@ -797,6 +811,90 @@ class TestCachedDesign:
         assert visits == [[2]] * 2 * 3
         for completion in result.completions:
             assert np.std(completion[gap, 0]) < 3 * np.std(x1[~gap])
+
+
+class TestStaticBlockFactor:
+    """The draw factors a target's static block once per run and each visit's border alone."""
+
+    def test_block_draw_matches_a_full_factor_in_the_design_order(self):
+        # x1's quickpred design: x4-x6 complete (the static block), x2 and x3
+        # incomplete (the border).  x3 is constant on x1's observed rows at
+        # the visits whose fill is 1.5, so the border shrinks to x2 there.
+        data = make_incomplete(seed=91, n_analysis=3)
+        values = data.values.copy()
+        values[data.mask[:, 2], 2] = 1.5
+        data = IncompleteData(values, data.mask, data.names, data.roles)
+        gap, observed = ~data.mask[:, 2], data.mask[:, 0]
+        plan = TestCachedDesign._plan(data)
+        working = initialize_fill(data, np.random.default_rng(0))
+        y_obs = data.values[observed, 0]
+        borders, factors = [], []
+        for visit, fill in enumerate((2.5, 1.5, 0.5, 1.5, 3.0)):
+            working[gap, 2] = fill
+            working[np.flatnonzero(gap)[0], 2] = 1.5  # constant only when fill is 1.5
+            working[~data.mask[:, 1], 1] = np.random.default_rng(visit).standard_normal(
+                int((~data.mask[:, 1]).sum())
+            )
+            x_obs, _, gram = engine.build_predictors(plan, working, 0)
+            assert gram.static == 3
+            block = draw_linear_params(y_obs, x_obs, np.random.default_rng(visit), gram=gram)
+            full = draw_linear_params(y_obs, x_obs, np.random.default_rng(visit), gram=_dense(gram))
+            np.testing.assert_allclose(block.coefficients, full.coefficients, rtol=0, atol=1e-9)
+            assert block.residual_sd == pytest.approx(full.residual_sd, rel=0, abs=1e-9)
+            borders.append(x_obs.shape[1] - gram.static)
+            factors.append(gram.factors[DEFAULT_RIDGE])
+        assert borders == [2, 1, 2, 1, 2]
+        assert all(factor is factors[0] for factor in factors)
+
+    def test_square_root_inverts_the_ridged_gram_on_a_wide_design(self):
+        # p = 242: x1's quickpred design holds about 240 columns, 3 of them moving.
+        data, _, _ = study_dataset(seed=2, items_per_factor=39)
+        plan = engine._QuickpredPlan(_spec(STRATEGY_QUICKPRED), data)
+        working = initialize_fill(data, np.random.default_rng(3))
+        observed = data.mask[:, 0]
+        for sweep in range(2):
+            x_obs, _, gram = engine.build_predictors(plan, working, 0)
+            for j in (1, 2, 3):  # the other targets' draws move their cells
+                gap = ~data.mask[:, j]
+                working[gap, j] = np.random.default_rng(sweep + j).standard_normal(int(gap.sum()))
+        assert gram.static > 200 and x_obs.shape[1] - gram.static == 3
+        ridge = DEFAULT_RIDGE
+        lower = imputers._factor(gram, ridge)
+        ridged = _dense(gram) + ridge * np.eye(x_obs.shape[1])
+        root = np.linalg.inv(lower).T  # S = L^-T, the draw's noise map
+        inverse = np.linalg.inv(ridged)
+        assert np.linalg.norm(root @ root.T - inverse) / np.linalg.norm(inverse) < 1e-12
+        y_obs = data.values[observed, 0]
+        slopes = imputers._solve(x_obs, y_obs, ridge, gram)[0]
+        full = imputers._solve(x_obs, y_obs, ridge, _dense(gram))[0]
+        assert np.linalg.norm(slopes - full) / np.linalg.norm(full) < 1e-12
+
+    def test_static_block_is_factored_once_per_target_per_run(self, monkeypatch):
+        data = make_incomplete(seed=97, n_cols=8, n_analysis=3)
+        sizes, designs = [], {}
+        factor = imputers.dpotrf
+
+        def record(matrix, **kwargs):
+            sizes.append(matrix.shape[0])
+            return factor(matrix, **kwargs)
+
+        build = engine.build_predictors
+
+        def keep(plan, working, target, state=None):
+            predictors = build(plan, working, target, state)
+            designs[target] = plan.designs[target]
+            return predictors
+
+        monkeypatch.setattr(imputers, "dpotrf", record)
+        monkeypatch.setattr(engine, "build_predictors", keep)
+        run_impute(_spec(STRATEGY_QUICKPRED, corr_threshold=0.0, chains=2, iterations=3), data)
+        assert sorted(designs) == [0, 1, 2]
+        # Per target: its static block once, then the border at each of 2 x 3 visits.
+        expected = []
+        for design in designs.values():
+            assert design.static == 5 and design.moving.size == 2
+            expected += [design.static] + [design.moving.size] * 6
+        assert sorted(sizes) == sorted(expected)
 
 
 def _record_running_pca(monkeypatch):

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from pcimpute import imputers
 from pcimpute.imputers import (
+    DEFAULT_RIDGE,
     IMPUTER_KINDS,
     IMPUTER_PMM,
+    BorderedGram,
     LinearModelDraw,
     draw_linear_params,
     draw_predictive,
@@ -94,13 +96,25 @@ class TestDrawLinearParams:
             draw_linear_params(y, x, rng)
 
     def test_indefinite_gram_is_named(self):
-        # The third leading minor of this Gram is negative.
-        x, y, _ = _regression_case(2, r=3)
-        gram = np.eye(3)
-        gram[2, 2] = -1.0
-        message = r"ridged Gram is not positive definite \(leading minor 3 of 3\)$"
-        with pytest.raises(np.linalg.LinAlgError, match=message):
-            draw_linear_params(y, x, np.random.default_rng(0), gram=gram)
+        # One diagonal entry of an identity Gram is negative, so is the first
+        # leading minor that holds it; the error names that minor of the
+        # draw's whole Gram, however it was factored.
+        cases = [
+            (3, 2, 0, None, "3 of 3"),  # one factor of the whole Gram
+            (3, 2, 2, None, "3 of 3"),  # the border's Schur complement, at its first minor
+            (3, 1, 2, None, "2 of 3"),  # the static block
+            (4, 3, 2, None, "4 of 4"),  # the Schur complement, at its second minor
+            (4, 3, 1, [2, 3], "3 of 3"),  # the same, with column 1 sitting out
+        ]
+        for width, negative, static, border, minor in cases:
+            gram = np.eye(width)
+            gram[negative, negative] = -1.0
+            if static:
+                gram = BorderedGram(gram, static, None if border is None else np.array(border))
+            x, y, _ = _regression_case(2, r=int(minor.split()[-1]))
+            message = rf"ridged Gram is not positive definite \(leading minor {minor}\)$"
+            with pytest.raises(np.linalg.LinAlgError, match=message):
+                draw_linear_params(y, x, np.random.default_rng(0), gram=gram)
 
     def test_overflowed_gram_is_named_as_overflow(self):
         # An infinite cross product stops the factorisation at the second minor.
@@ -392,3 +406,46 @@ class TestGivenGram:
         draw_linear_params(y, xc, np.random.default_rng(0), ridge=1.0, gram=gram)
         pmm_impute(y, xc, x_mis, np.random.default_rng(0), ridge=1.0, gram=gram)
         assert gram.tobytes(order="A") == before
+
+    @pytest.mark.parametrize("imputer", IMPUTER_KINDS)
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"gram": np.eye(2)}, r"gram must be 3 x 3 for 3 predictors, got shape \(2, 2\)"),
+            ({"ridge": -1.0}, r"ridge must be nonnegative and finite, got -1\.0"),
+            ({"ridge": np.nan}, r"ridge must be nonnegative and finite, got nan"),
+            ({"ridge": np.inf}, r"ridge must be nonnegative and finite, got inf"),
+            ({"gram": BorderedGram(np.eye(4), 2)}, r"gram covers 4 columns for 3 predictors"),
+            (
+                {"gram": BorderedGram(np.eye(4), 2, np.array([1]))},
+                r"gram border positions must lie in \[2, 4\)",
+            ),
+        ],
+    )
+    def test_bad_gram_or_ridge_is_named(self, imputer, kwargs, message):
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((20, 3)), rng.standard_normal(20)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            if imputer == IMPUTER_PMM:
+                pmm_impute(y, x, x[:4], rng, **kwargs)
+            else:
+                draw_linear_params(y, x, rng, **kwargs)
+
+    def test_block_factor_draws_as_one_factor_in_the_same_order(self):
+        # Columns 0-3 are the static block; each draw's border is a subset of 4-5.
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((40, 6)) @ rng.standard_normal((6, 6))
+        x -= x.mean(axis=0)
+        y = x @ rng.standard_normal(6) + rng.standard_normal(40)
+        matrix, factors = x.T @ x, {}
+        for border in ([4, 5], [4], [5], []):
+            columns = [0, 1, 2, 3, *border]
+            gram = BorderedGram(matrix, 4, np.array(border, dtype=int), factors)
+            block = draw_linear_params(y, x[:, columns], np.random.default_rng(2), gram=gram)
+            full = draw_linear_params(
+                y, x[:, columns], np.random.default_rng(2), gram=matrix[np.ix_(columns, columns)]
+            )
+            np.testing.assert_allclose(block.coefficients, full.coefficients, rtol=0, atol=1e-9)
+            assert block.residual_sd == pytest.approx(full.residual_sd, rel=0, abs=1e-9)
+        # One static factor served every draw.
+        assert list(factors) == [DEFAULT_RIDGE]

@@ -28,7 +28,9 @@ a predictor's liveness on all rows, where x5's slope in x1's draw comes
 from the ridge alone: there x1's bayesian-normal imputations have an
 SD near 300 against an observed SD of 2.5); pmm
 where donor ties are heavy (intercept-only quickpred models, so every
-prediction ties, and every strategy on columns coded 1..3);
+prediction ties, and every strategy on columns coded 1..3); quickpred
+pmm where an incomplete predictor of x1 is constant on x1's observed rows
+at some visits only, so it sits out of x1's draw at those visits only;
 the pre-pass alone (``engine._prepass_complete``, under the label of the
 removed ``prepass_single_impute``) with both imputers; two small ``run_study``
 grids with the runtime column pinned to zero (the bytes of their
@@ -127,6 +129,23 @@ def integer_codes(seed: int) -> pcimpute.IncompleteData:
     values[rng.random((60, 5)) < 0.2] = np.nan
     values[:, 4] = rng.integers(1, 4, 60)
     return pcimpute.IncompleteData.from_matrix(values).with_roles(analysis=["x1"], mar=["x5"])
+
+
+def turning_flat(seed: int) -> pcimpute.IncompleteData:
+    """60 rows; x2's observed cells are 1.0 wherever x1 is observed, 2 or 3 where it is missing.
+
+    Under pmm, x2's draws on x1's observed rows are all 1.0 at some visits
+    and not at others, so x2 leaves x1's border at some visits only.
+    """
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((60, 5))
+    values[:, 0] += values[:, 3]
+    x1_gap = rng.random(60) < 0.25
+    values[:, 1] = np.where(x1_gap, rng.integers(2, 4, 60), 1.0)
+    values[x1_gap, 0] = np.nan
+    values[~x1_gap & (rng.random(60) < 0.08), 1] = np.nan
+    values[x1_gap & (rng.random(60) < 0.3), 1] = np.nan
+    return pcimpute.IncompleteData.from_matrix(values).with_roles(analysis=["x1", "x2"])
 
 
 def digest(*arrays) -> str:
@@ -231,6 +250,9 @@ def run_cases():
     # predicted mean, and integer-coded columns give few distinct ones.
     tied = [("p=56 corr_threshold=1.0", wide[56], ("quickpred",), {"corr_threshold": 1.0})]
     tied.append(("codes 1..3", integer_codes(7), pcimpute.STRATEGIES, {"n_components": 1}))
+    # Not tied: an incomplete predictor that turns constant on the target's
+    # observed rows at some visits (a border that shrinks, then grows back).
+    tied.append(("x2 turning flat", turning_flat(3), ("quickpred",), {"corr_threshold": 0.0}))
     for label, data, strategies, options in tied:
         for strategy in strategies:
             spec = pcimpute.ImputationSpec(
