@@ -85,7 +85,7 @@ def _seed(raw: str) -> int:
 
 
 def _positive(raw: str) -> int:
-    """``--m``, ``--maxit``, ``--donors``: argparse names the flag in the refusal."""
+    """A count flag (``--m``, ``--maxit``, ``--donors``, ``--workers``, ``--replicates``)."""
     if not raw.isdecimal() or int(raw) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
     return int(raw)
@@ -106,7 +106,7 @@ def _build_parser() -> _Parser:
     na_token = _flag(
         "--na-token", default=DEFAULT_NA_TOKEN, help="missing-value token in CSV files"
     )
-    workers = _flag("--workers", type=int, default=None, help="parallel worker count")
+    workers = _flag("--workers", type=_positive, default=None, help="parallel worker count")
     out_dir = _flag("--out-dir", default=None, help="directory for output files")
 
     parser = _Parser(prog="pcimpute", description=__doc__)
@@ -180,7 +180,7 @@ def _build_parser() -> _Parser:
     enum.add_argument("--rule", required=True, choices=sorted(ENUMERATION_METHODS.values()))
     enum.add_argument(
         "--replicates",
-        type=int,
+        type=_positive,
         default=EnumerationRule.replicates,
         help="parallel-analysis draws",
     )
@@ -445,6 +445,15 @@ def cmd_pool(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    methods = {tag: method for method, tag in ENUMERATION_METHODS.items()}
+    try:
+        rule = EnumerationRule(
+            method=methods[args.rule],
+            replicates=args.replicates,
+            quantile=args.quantile,
+        )
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     data = load_csv(args.input, na_token=args.na_token)
     values = data.values
     if not data.mask.all():
@@ -457,15 +466,6 @@ def cmd_enumerate(args) -> int:
         if rows.size < 3:
             raise ValueError(f"{args.input}: fewer than three complete cases")
         values = values[rows]
-    methods = {tag: method for method, tag in ENUMERATION_METHODS.items()}
-    try:
-        rule = EnumerationRule(
-            method=methods[args.rule],
-            replicates=args.replicates,
-            quantile=args.quantile,
-        )
-    except ValueError as err:
-        raise UsageError(str(err)) from None
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     try:
         spectrum = correlation_eigenvalues(values)

@@ -15,7 +15,7 @@ import io
 import math
 from array import array
 from itertools import islice
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -226,15 +226,11 @@ class _CsvTemplate:
     slot per NaN cell (the ``repr`` of a finite float holds no ``%``).
     ``slots[i]`` counts row i's slots, and ``values`` keeps the matrix,
     so a file written from it can be checked to share its observed cells.
-    ``token_cells`` keeps, per ``na_token`` checked so far, the flat index
-    of the first non-NaN cell whose ``repr`` is that token (empty when
-    none is), so the files of one run check their shared cells once.
     """
 
     values: np.ndarray
     lines: list[str]
     slots: list[int]
-    token_cells: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _csv_template(values: np.ndarray) -> _CsvTemplate:
@@ -297,7 +293,7 @@ def write_csv(
     ``names`` does not hold one name per column, or when ``na_token`` is
     the ``repr`` of a cell to be written (``"0.0"`` against a 0.0 cell),
     which would read back as missing; a token such as ``"-999"`` is no
-    float's ``repr``.  With a template, its cells are checked once.
+    float's ``repr``.
     """
     values = np.asarray(values, dtype=float)
     if len(names) != values.shape[1]:
@@ -326,14 +322,8 @@ def write_csv(
         )
     bits = _token_bits(na_token)
     if bits is not None:
-        if na_token not in template.token_cells:
-            shared = np.flatnonzero(template.values.view(np.uint64) == bits)
-            template.token_cells[na_token] = shared[:1]
-        filled = np.flatnonzero(slot)[values[slot].view(np.uint64) == bits]
-        hits = np.concatenate([template.token_cells[na_token], filled[:1]])
-        if hits.size:
-            cells = np.zeros(values.shape, dtype=bool)
-            cells.flat[hits.min()] = True
+        cells = values.view(np.uint64) == bits
+        if cells.any():
             raise ValueError(
                 f"{_cell_label(path, cells, names)}: na_token {na_token!r} is the text of "
                 "this cell, which would read back as missing"

@@ -306,8 +306,8 @@ class _Plan:
     counters.
 
     A visit's predictors are the target's ``raw`` columns that are not
-    constant on its observed rows, and the plan's ``scores`` (``_Design``
-    orders them).  The pcr plans
+    constant on its observed rows, and the plan's ``fixed_scores`` or
+    per-visit ``scores`` (``_Design`` orders them).  The pcr plans
     settle q during set-up from their predictor budget: the width of the
     block their components come from and each target's raw columns.
     ``stage`` prefixes the run's warnings and errors (``"pre-pass "`` in the
@@ -339,8 +339,8 @@ class _Plan:
         return None
 
     def scores(self, working, target, state) -> np.ndarray | None:
-        """This visit's component scores, if the strategy uses components."""
-        return self.fixed_scores
+        """This visit's per-visit component scores, if the strategy has them."""
+        return None
 
     def components(self, working, columns, running=None) -> np.ndarray | None:
         """Component scores of ``working``'s non-constant ``columns``, or None if none is left.
@@ -475,14 +475,6 @@ def _fixed_scores(plan: _Plan, columns: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _refresh_gram(gram: np.ndarray, x: np.ndarray, start: int) -> None:
-    """Recompute, in place, the rows and columns of ``gram = x.T @ x`` that belong
-    to the centred predictors from position ``start`` of ``x`` on, in O(n r b)."""
-    cross = x[:, start:].T @ x
-    gram[:, start:] = cross.T
-    gram[start:, :] = cross
-
-
 class _Design:
     """One target's visit predictors on its observed and missing rows, and their Gram.
 
@@ -496,13 +488,12 @@ class _Design:
     scores; ``fill`` checks the moving ones on each visit's observed cells
     and marks those that are constant in ``flat``.  Raw columns keep
     ascending order within each block.  A later visit rewrites only the
-    border and refreshes its Gram rows and columns; when the border is half
-    the columns or more, the full product is cheaper and replaces the Gram.
-    A width change (a per-visit q that shrank) rebuilds it.  Every column is
-    stored centred on the target's observed rows (``x_mis`` with the same
-    centres), and a border column is centred again when it is rewritten, so
-    the draw sees no predictor's location.  It holds n x r predictor cells
-    and their r x r Gram, unridged.
+    border and its Gram rows and columns.  A width change (a per-visit q
+    that shrank) rebuilds them.  Every column is stored centred on the
+    target's observed rows (``x_mis`` with the same centres), and a border
+    column is centred again when it is rewritten, so the draw sees no
+    predictor's location.  It holds n x r predictor cells and their r x r
+    Gram, unridged.
 
     The draw factors the ridged static block once, at the target's first
     visit, and keeps the factor in ``factors``; each visit then factors only
@@ -530,10 +521,9 @@ class _Design:
         self.factors: dict[float, np.ndarray] = {}
 
     def fill(self, plan: _Plan, working: np.ndarray, scores: np.ndarray | None) -> None:
-        """Write this visit's predictors and bring the Gram up to date."""
-        per_visit = None if plan.fixed_scores is not None else scores
+        """Write this visit's predictors and per-visit ``scores`` and bring the Gram up to date."""
         k = self.static
-        width = k + self.moving.size + (0 if per_visit is None else per_visit.shape[1])
+        width = k + self.moving.size + (0 if scores is None else scores.shape[1])
         rebuild = self.gram is None or self.gram.shape[0] != width
         if not rebuild and width == k:
             return  # nothing moves
@@ -541,10 +531,11 @@ class _Design:
             start = 0
             self.x_obs = np.empty((int(self.observed.sum()), width))
             self.x_mis = np.empty((self.observed.size - self.x_obs.shape[0], width))
-            blocks = [working[:, self.fixed], plan.fixed_scores, working[:, self.moving], per_visit]
+            self.gram = np.empty((width, width), order="F")
+            blocks = [working[:, self.fixed], plan.fixed_scores, working[:, self.moving], scores]
         else:
             start = k
-            blocks = [working[:, self.moving], per_visit]
+            blocks = [working[:, self.moving], scores]
         blocks = [block for block in blocks if block is not None]
         values = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
         observed = values[self.observed]
@@ -558,15 +549,12 @@ class _Design:
         del by_column  # n x r cells on a rebuild, freed before the Gram is built
         self.x_obs[:, start:] = observed - centres
         self.x_mis[:, start:] = values[~self.observed] - centres
-        # The refresh costs O(n r b) against the full product's O(n r^2 / 2).
-        # Both read the stored columns, which are centred already.  The Gram is
-        # kept in Fortran order, so the draw's copy of it for LAPACK is a plain
-        # one: numpy forms ``x.T @ x`` by ``syrk`` and mirrors one triangle, so
-        # the product is exactly symmetric and its transpose is that Gram.
-        if rebuild or 2 * (width - start) >= width:
-            self.gram = (self.x_obs.T @ self.x_obs).T
-        else:
-            _refresh_gram(self.gram, self.x_obs, start)
+        # The Gram's rows and columns from ``start`` on, O(n r b), from the stored
+        # centred columns.  Fortran order makes the draw's LAPACK copy a plain one;
+        # on a rebuild numpy forms ``x.T @ x`` by ``syrk``, so it is exactly symmetric.
+        cross = self.x_obs[:, start:].T @ self.x_obs
+        self.gram[:, start:] = cross.T
+        self.gram[start:, :] = cross
 
 
 def build_predictors(
@@ -596,18 +584,19 @@ def build_predictors(
     static = design.static
     dead = np.flatnonzero(design.flat)
     if dead.size == 0:
-        return design.x_obs, design.x_mis, BorderedGram(design.gram, static, None, design.factors)
+        return design.x_obs, design.x_mis, BorderedGram(design.gram, static, design.factors)
     _warn_dropped(plan, design.moving[dead], target)
-    # A moving column that is flat at this visit sits out of this visit's border only.
+    # A moving column that is flat at this visit sits out of this visit's border
+    # only; ``keep`` holds every static position, so the static factor still applies.
     keep = np.delete(np.arange(design.x_obs.shape[1]), static + dead)
-    gram = BorderedGram(design.gram, static, keep[static:], design.factors)
+    gram = BorderedGram(design.gram[np.ix_(keep, keep)], static, design.factors)
     return design.x_obs[:, keep], design.x_mis[:, keep], gram
 
 
 def _impute_column(
     plan: _Plan,
     working: np.ndarray,
-    predictors: tuple[np.ndarray, np.ndarray, np.ndarray],
+    predictors: tuple[np.ndarray, np.ndarray, BorderedGram],
     target: int,
     rng: np.random.Generator,
     where: str,

@@ -95,10 +95,8 @@ class LinearModelDraw:
 class BorderedGram:
     """An unridged centred Gram whose leading ``static`` columns are the same at every draw.
 
-    ``matrix`` is the Gram of every column a caller keeps.  A draw's
-    predictors are its first ``static`` columns, then its ``border``
-    columns: ascending positions in ``matrix``, each at least ``static``,
-    or None for all of them.  The first draw factors the ridged static
+    ``matrix`` is the Gram of the draw's predictors: its first ``static``
+    columns, then the border.  The first draw factors the ridged static
     block and keeps its lower Cholesky factor in ``factors``, keyed by the
     ridge, so every later draw that shares ``factors`` (and so must see the
     same static block) factors only its border.
@@ -106,37 +104,18 @@ class BorderedGram:
 
     matrix: np.ndarray
     static: int = 0
-    border: np.ndarray | None = None
     factors: dict[float, np.ndarray] = field(default_factory=dict)
-
-    def width(self) -> int:
-        """The draw's predictor count: the static block's and the border's."""
-        if self.border is None:
-            return self.matrix.shape[0]
-        return self.static + self.border.size
-
-    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The draw's Gram as its static, static-by-border and border blocks."""
-        k, border, matrix = self.static, self.border, self.matrix
-        if border is None:
-            return matrix[:k, :k], matrix[:k, k:], matrix[k:, k:]
-        return matrix[:k, :k], matrix[:k, border], matrix[np.ix_(border, border)]
 
 
 def _bordered(gram, r: int) -> BorderedGram:
     """``gram`` as a ``BorderedGram`` of ``r`` predictors, or a ``ValueError`` naming it."""
     if not isinstance(gram, BorderedGram):
-        gram = np.asarray(gram, dtype=float)
-        if gram.shape != (r, r):
-            raise ValueError(f"gram must be {r} x {r} for {r} predictors, got shape {gram.shape}")
-        return BorderedGram(gram)
-    shape, k, border = np.shape(gram.matrix), gram.static, gram.border
-    if len(shape) != 2 or shape[0] != shape[1] or not 0 <= k <= shape[0]:
-        raise ValueError(f"gram must be square with its static block inside, got {shape}, {k}")
-    if border is not None and border.size and not k <= border.min() <= border.max() < shape[0]:
-        raise ValueError(f"gram border positions must lie in [{k}, {shape[0]})")
-    if gram.width() != r:
-        raise ValueError(f"gram covers {gram.width()} columns for {r} predictors")
+        gram = BorderedGram(np.asarray(gram, dtype=float))
+    shape, k = np.shape(gram.matrix), gram.static
+    if shape != (r, r):
+        raise ValueError(f"gram must be {r} x {r} for {r} predictors, got shape {shape}")
+    if not 0 <= k <= r:
+        raise ValueError(f"gram's static block of {k} columns must lie inside its {r}")
     return gram
 
 
@@ -179,8 +158,8 @@ def _factor(gram: BorderedGram, ridge: float) -> np.ndarray:
     Computations*, 4th ed., section 4.2).  A failure names the first
     leading minor of the whole ridged Gram that is not positive.
     """
-    k, r = gram.static, gram.width()
-    g_ss, g_sb, g_bb = gram.blocks()
+    k, matrix, r = gram.static, gram.matrix, len(gram.matrix)
+    g_ss, g_sb, g_bb = matrix[:k, :k], matrix[:k, k:], matrix[k:, k:]
     if not k:
         return _cholesky(g_bb, ridge, 0, r, g_bb)
     static = gram.factors.get(ridge)
@@ -233,6 +212,14 @@ def _inputs(x, y) -> tuple[np.ndarray, np.ndarray]:
     if x.ndim != 2:
         raise ValueError("predictor matrix must be 2-d")
     return x, np.asarray(y, dtype=float).ravel()
+
+
+def _missing_rows(x_mis, r: int) -> np.ndarray:
+    """``x_mis`` as a 2-d float array of ``r`` predictor columns, or a ``ValueError`` naming it."""
+    x_mis = np.asarray(x_mis, dtype=float)
+    if x_mis.ndim != 2 or x_mis.shape[1] != r:
+        raise ValueError(f"x_mis must be n x {r} (the predictor count), got shape {x_mis.shape}")
+    return x_mis
 
 
 def ridged_least_squares(x: np.ndarray, y: np.ndarray, ridge: float = DEFAULT_RIDGE):
@@ -311,10 +298,8 @@ def draw_predictive(
     x_mis: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sample the posterior predictive at the missing rows."""
-    x_mis = np.asarray(x_mis, dtype=float)
-    if x_mis.shape[1] != params.coefficients.shape[0] - 1:
-        raise ValueError("predictor count does not match the parameter draw")
+    """Sample the posterior predictive at the missing rows, ``x_mis``: 2-d, one column per slope."""
+    x_mis = _missing_rows(x_mis, params.coefficients.shape[0] - 1)
     return params.mean(x_mis) + params.residual_sd * rng.standard_normal(x_mis.shape[0])
 
 
@@ -364,9 +349,8 @@ def nearest_donors(
     O(log n_obs) vectorized rounds; such a row then ranks its whole run,
     so ties among two or more distinct predictions can widen the time
     and memory to the run's length.  A spilling run of one predicted
-    value takes its k lowest row indices without ranking the run, and
-    when every observed prediction ties, as under an intercept-only
-    model, every row takes them with no search at all.
+    value, as under an intercept-only model, takes its k lowest row
+    indices without ranking the run.
 
     Raises
     ------
@@ -384,9 +368,6 @@ def nearest_donors(
     # One sentinel past the end, an infinite prediction with a row index past
     # every real one, so padded positions always rank last.
     ranked = np.append(pred_obs[order], np.inf)
-    if ranked[0] == ranked[n_obs - 1]:
-        # Every gap ties, and the stable sort kept row order.
-        return np.tile(np.arange(donors), (pred_mis.shape[0], 1))
     row_of = np.append(order, n_obs)
     split = np.searchsorted(ranked, pred_mis)
     width = min(2 * donors, n_obs)
@@ -443,11 +424,11 @@ def pmm_impute(
     missing row then receives the observed outcome of one donor
     drawn uniformly from its ``donors`` nearest observed rows.  Every
     imputed value is therefore an observed value of the column.
-    ``ridge`` and ``gram`` (unridged) pass through to ``draw_linear_params``,
-    which refuses them as it says.
+    ``x_mis`` must be 2-d with ``x_obs``'s columns; ``ridge`` and ``gram``
+    (unridged) pass through to ``draw_linear_params``, which refuses them.
     """
     x_obs, y_obs = _inputs(x_obs, y_obs)
-    x_mis = np.asarray(x_mis, dtype=float)
+    x_mis = _missing_rows(x_mis, x_obs.shape[1])
     params = draw_linear_params(y_obs, x_obs, rng, ridge, gram)
     pools = nearest_donors(params.mean(x_obs), params.mean(x_mis), donors)
     picks = rng.integers(donors, size=x_mis.shape[0])

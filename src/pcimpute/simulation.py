@@ -195,17 +195,16 @@ def _expit(x):
     return expit(x)
 
 
-def calibrate_intercept(
-    linear_scores: np.ndarray,
-    target_proportion: float,
-    tol: float = 1e-6,
-    max_iterations: int = 200,
-) -> float:
+_CALIBRATION_TOL = 1e-6
+_CALIBRATION_ITERATIONS = 200
+
+
+def calibrate_intercept(linear_scores: np.ndarray, target_proportion: float) -> float:
     """Find the logistic intercept hitting an expected missing share.
 
     Bisects on the mean of ``expit(intercept + scores)``, which is
     monotone in the intercept, until the expected proportion is within
-    ``tol`` of the target.
+    ``_CALIBRATION_TOL`` of the target.
     """
     scores = np.asarray(linear_scores, dtype=float)
     if not 0.0 < target_proportion < 1.0:
@@ -216,10 +215,10 @@ def calibrate_intercept(
     while float(_expit(upper + scores).mean()) < target_proportion:
         upper *= 2.0
     mid = 0.5 * (lower + upper)
-    for _ in range(max_iterations):
+    for _ in range(_CALIBRATION_ITERATIONS):
         mid = 0.5 * (lower + upper)
         achieved = float(_expit(mid + scores).mean())
-        if abs(achieved - target_proportion) < tol:
+        if abs(achieved - target_proportion) < _CALIBRATION_TOL:
             return mid
         if achieved > target_proportion:
             upper = mid

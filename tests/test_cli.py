@@ -202,17 +202,28 @@ class TestImputeCommand:
             ("impute", ["--npc", "0"], "--npc: must be a positive integer or 'max', got '0'"),
             ("impute", ["--seed", "-1"], "--seed: must be a non-negative integer, got '-1'"),
             ("enumerate", ["--seed", "-1"], "--seed: must be a non-negative integer, got '-1'"),
+            (
+                "enumerate",
+                ["--replicates", "0"],
+                "--replicates: must be a positive integer, got '0'",
+            ),
+            ("enumerate", ["--quantile", "2"], "quantile must lie strictly between 0 and 1"),
+            ("simulate", ["--workers", "0"], "--workers: must be a positive integer, got '0'"),
         ],
     )
     def test_bad_setting_is_usage_error_before_reading_input(
         self, tmp_path, capsys, command, flags, message
     ):
-        # The input does not exist, so reading it first would exit 2.
-        argv = [command, "--input", str(tmp_path / "absent.csv"), *flags]
+        # The input does not exist, so reading it first would exit 2 (1 for a
+        # config file, whose refusal names the file, not the flag).
+        absent = str(tmp_path / "absent")
+        argv = [command, *flags]
         if command == "impute":
-            argv += ["--method", "pcr-vbv", "--out-prefix", "run"]
+            argv += ["--input", absent, "--method", "pcr-vbv", "--out-prefix", "run"]
+        elif command == "enumerate":
+            argv += ["--input", absent, "--rule", "kaiser"]
         else:
-            argv += ["--rule", "kaiser"]
+            argv += ["--config", absent]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
 

@@ -646,12 +646,6 @@ def _centred(columns, rows):
     return columns - np.array([column[rows].mean() for column in columns.T])
 
 
-def _dense(gram):
-    """The draw's unridged Gram that a ``BorderedGram`` stands for, as one array."""
-    g_ss, g_sb, g_bb = gram.blocks()
-    return np.block([[g_ss, g_sb], [g_sb.T, g_bb]])
-
-
 def _layout(plan, target):
     """The raw columns of ``target``'s design in its column order: complete ones first."""
     raw = plan.raw[target]
@@ -683,7 +677,7 @@ class TestCachedDesign:
             centred = _centred(gathered, observed)
             np.testing.assert_array_equal(x_obs, centred[observed])
             np.testing.assert_array_equal(x_mis, centred[~observed])
-            np.testing.assert_allclose(_dense(gram), x_obs.T @ x_obs, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(gram.matrix, x_obs.T @ x_obs, rtol=0, atol=1e-9)
             cached = draw_linear_params(y_obs, x_obs, np.random.default_rng(1), gram=gram)
             fresh = draw_linear_params(y_obs, centred[observed], np.random.default_rng(1))
             np.testing.assert_allclose(cached.coefficients, fresh.coefficients, rtol=0, atol=1e-9)
@@ -739,7 +733,7 @@ class TestCachedDesign:
                     centred = _centred(gathered, observed)
                     np.testing.assert_array_equal(x_obs, centred[observed])
                     np.testing.assert_array_equal(x_mis, centred[~observed])
-                    np.testing.assert_allclose(_dense(gram), x_obs.T @ x_obs, rtol=0, atol=1e-9)
+                    np.testing.assert_allclose(gram.matrix, x_obs.T @ x_obs, rtol=0, atol=1e-9)
             assert widths == [4, 5, 4, 5]
             messages = [rec.message for rec in caplog.records]
             assert messages == [
@@ -838,7 +832,7 @@ class TestStaticBlockFactor:
             x_obs, _, gram = engine.build_predictors(plan, working, 0)
             assert gram.static == 3
             block = draw_linear_params(y_obs, x_obs, np.random.default_rng(visit), gram=gram)
-            full = draw_linear_params(y_obs, x_obs, np.random.default_rng(visit), gram=_dense(gram))
+            full = draw_linear_params(y_obs, x_obs, np.random.default_rng(visit), gram=gram.matrix)
             np.testing.assert_allclose(block.coefficients, full.coefficients, rtol=0, atol=1e-9)
             assert block.residual_sd == pytest.approx(full.residual_sd, rel=0, abs=1e-9)
             borders.append(x_obs.shape[1] - gram.static)
@@ -860,13 +854,13 @@ class TestStaticBlockFactor:
         assert gram.static > 200 and x_obs.shape[1] - gram.static == 3
         ridge = DEFAULT_RIDGE
         lower = imputers._factor(gram, ridge)
-        ridged = _dense(gram) + ridge * np.eye(x_obs.shape[1])
+        ridged = gram.matrix + ridge * np.eye(x_obs.shape[1])
         root = np.linalg.inv(lower).T  # S = L^-T, the draw's noise map
         inverse = np.linalg.inv(ridged)
         assert np.linalg.norm(root @ root.T - inverse) / np.linalg.norm(inverse) < 1e-12
         y_obs = data.values[observed, 0]
         slopes = imputers._solve(x_obs, y_obs, ridge, gram)[0]
-        full = imputers._solve(x_obs, y_obs, ridge, _dense(gram))[0]
+        full = imputers._solve(x_obs, y_obs, ridge, gram.matrix)[0]
         assert np.linalg.norm(slopes - full) / np.linalg.norm(full) < 1e-12
 
     def test_static_block_is_factored_once_per_target_per_run(self, monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,13 +106,15 @@ class TestDrawLinearParams:
             (3, 2, 2, None, "3 of 3"),  # the border's Schur complement, at its first minor
             (3, 1, 2, None, "2 of 3"),  # the static block
             (4, 3, 2, None, "4 of 4"),  # the Schur complement, at its second minor
-            (4, 3, 1, [2, 3], "3 of 3"),  # the same, with column 1 sitting out
+            (4, 3, 1, [0, 2, 3], "3 of 3"),  # the same, with column 1 sitting out
         ]
-        for width, negative, static, border, minor in cases:
+        for width, negative, static, keep, minor in cases:
             gram = np.eye(width)
             gram[negative, negative] = -1.0
+            if keep is not None:
+                gram = gram[np.ix_(keep, keep)]
             if static:
-                gram = BorderedGram(gram, static, None if border is None else np.array(border))
+                gram = BorderedGram(gram, static)
             x, y, _ = _regression_case(2, r=int(minor.split()[-1]))
             message = rf"ridged Gram is not positive definite \(leading minor {minor}\)$"
             with pytest.raises(np.linalg.LinAlgError, match=message):
@@ -172,6 +176,12 @@ class TestDrawPredictive:
         params = LinearModelDraw(coefficients=np.array([0.0, 1.0]), residual_sd=1.0)
         with pytest.raises(ValueError, match="predictor count"):
             draw_predictive(params, np.ones((2, 2)), np.random.default_rng(0))
+
+    def test_one_dimensional_x_mis_is_named(self):
+        params = LinearModelDraw(coefficients=np.array([0.0, 1.0]), residual_sd=1.0)
+        message = r"^x_mis must be n x 1 \(the predictor count\), got shape \(2,\)$"
+        with pytest.raises(ValueError, match=message):
+            draw_predictive(params, np.ones(2), np.random.default_rng(0))
 
 
 class TestNearestDonors:
@@ -282,7 +292,7 @@ class TestNearestDonors:
         assert sum(searched) == 2 * spilling
 
     @pytest.mark.parametrize("missing", ["equal", "continuous"])
-    def test_equal_predictions_skip_the_search(self, searched, missing):
+    def test_equal_predictions_skip_the_search(self, missing):
         # An intercept-only model predicts one value for every row: every gap
         # ties, so each row's donors are the k lowest row indices.
         pred_obs = np.full(700, 0.3)
@@ -292,7 +302,6 @@ class TestNearestDonors:
             pred_mis = np.random.default_rng(5).standard_normal(300)
         pools = nearest_donors(pred_obs, pred_mis, donors=5)
         np.testing.assert_array_equal(pools, nearest_donors_full_sort(pred_obs, pred_mis, 5))
-        assert searched == []
 
     def test_continuous_predictions_skip_the_search(self, searched):
         rng = np.random.default_rng(4)
@@ -315,6 +324,15 @@ class TestNearestDonors:
 
 
 class TestPmm:
+    @pytest.mark.parametrize("x_mis", [np.ones(3), np.ones((5, 2))], ids=["1-d", "2-columns"])
+    def test_x_mis_shape_is_named(self, x_mis):
+        rng = np.random.default_rng(6)
+        x_obs, y_obs = rng.standard_normal((20, 3)), rng.standard_normal(20)
+        shape = re.escape(str(x_mis.shape))
+        message = rf"^x_mis must be n x 3 \(the predictor count\), got shape {shape}$"
+        with pytest.raises(ValueError, match=message):
+            pmm_impute(y_obs, x_obs, x_mis, rng)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), donors=st.integers(1, 5))
     def test_imputed_values_come_from_observed(self, seed, donors):
@@ -415,10 +433,13 @@ class TestGivenGram:
             ({"ridge": -1.0}, r"ridge must be nonnegative and finite, got -1\.0"),
             ({"ridge": np.nan}, r"ridge must be nonnegative and finite, got nan"),
             ({"ridge": np.inf}, r"ridge must be nonnegative and finite, got inf"),
-            ({"gram": BorderedGram(np.eye(4), 2)}, r"gram covers 4 columns for 3 predictors"),
             (
-                {"gram": BorderedGram(np.eye(4), 2, np.array([1]))},
-                r"gram border positions must lie in \[2, 4\)",
+                {"gram": BorderedGram(np.eye(4), 2)},
+                r"gram must be 3 x 3 for 3 predictors, got shape \(4, 4\)",
+            ),
+            (
+                {"gram": BorderedGram(np.eye(3), 4)},
+                r"gram's static block of 4 columns must lie inside its 3",
             ),
         ],
     )
@@ -432,7 +453,8 @@ class TestGivenGram:
                 draw_linear_params(y, x, rng, **kwargs)
 
     def test_block_factor_draws_as_one_factor_in_the_same_order(self):
-        # Columns 0-3 are the static block; each draw's border is a subset of 4-5.
+        # Columns 0-3 are the static block; each draw's border is a subset of 4-5,
+        # and each draw's Gram the compacted one of its columns.
         rng = np.random.default_rng(19)
         x = rng.standard_normal((40, 6)) @ rng.standard_normal((6, 6))
         x -= x.mean(axis=0)
@@ -440,11 +462,10 @@ class TestGivenGram:
         matrix, factors = x.T @ x, {}
         for border in ([4, 5], [4], [5], []):
             columns = [0, 1, 2, 3, *border]
-            gram = BorderedGram(matrix, 4, np.array(border, dtype=int), factors)
+            compact = matrix[np.ix_(columns, columns)]
+            gram = BorderedGram(compact, 4, factors)
             block = draw_linear_params(y, x[:, columns], np.random.default_rng(2), gram=gram)
-            full = draw_linear_params(
-                y, x[:, columns], np.random.default_rng(2), gram=matrix[np.ix_(columns, columns)]
-            )
+            full = draw_linear_params(y, x[:, columns], np.random.default_rng(2), gram=compact)
             np.testing.assert_allclose(block.coefficients, full.coefficients, rtol=0, atol=1e-9)
             assert block.residual_sd == pytest.approx(full.residual_sd, rel=0, abs=1e-9)
         # One static factor served every draw.
