@@ -49,6 +49,7 @@ import copy
 import ctypes
 import functools
 import logging
+import math
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
@@ -493,11 +494,18 @@ class _Design:
     target's observed rows (``x_mis`` with the same centres), and a border
     column is centred again when it is rewritten, so the draw sees no
     predictor's location.  It holds n x r predictor cells and their r x r
-    Gram, unridged.
+    Gram, unridged.  ``x_obs`` and ``x_mis`` are column-major (Fortran
+    order), so each column's cells are contiguous: a border write, its
+    centring and the border's cross product ``X_b'X`` read and write
+    contiguous memory.  The target's observed and missing rows are taken
+    once, as index arrays (``rows``, ``gaps``), with its observed outcome
+    ``y_obs`` and its moving columns' cells on each (``cells``).
 
-    The draw factors the ridged static block once, at the target's first
-    visit, and keeps the factor in ``factors``; each visit then factors only
-    the border's Schur complement (``imputers.BorderedGram``).  The column
+    The draw keeps the static block's per-run products in ``factors`` at the
+    target's first visit: the ridged block's factor and its solve against
+    ``y_obs``, which the target's observed outcome and complete columns keep
+    valid for the run.  Each visit then factors and solves only the border,
+    through its Schur complement (``imputers.BorderedGram``).  The column
     order decides which square root of the slopes' posterior covariance maps
     the draw's noise, so reordering the columns changes a seeded sample but
     not the posterior it comes from: the predicted value that moved by 5.7
@@ -507,18 +515,23 @@ class _Design:
 
     def __init__(self, plan: _Plan, target: int) -> None:
         raw = plan.raw.get(target, _NO_COLUMNS)
-        self.observed = plan.data.mask[:, target]
+        observed = plan.data.mask[:, target]
+        self.rows, self.gaps = np.flatnonzero(observed), np.flatnonzero(~observed)
+        self.y_obs = plan.data.values[self.rows, target]
         complete = plan.data.mask[:, raw].all(axis=0)
         held = raw[complete]
-        flat = np.ptp(plan.data.values[np.ix_(self.observed, held)], axis=0) == 0.0
+        flat = np.ptp(plan.data.values[np.ix_(self.rows, held)], axis=0) == 0.0
         _warn_dropped(plan, held[flat], target)
         self.fixed = held[~flat]
         self.moving = raw[~complete]
+        # The moving columns' cells as flat indices into the n x p working matrix,
+        # one row per column: on the observed rows, then on the missing rows.
+        self.cells = [self.moving[:, None] + at * plan.data.n_cols for at in (self.rows, self.gaps)]
         scores = plan.fixed_scores
         self.static = self.fixed.size + (0 if scores is None else scores.shape[1])
         self.flat = np.zeros(self.moving.size, dtype=bool)
         self.gram: np.ndarray | None = None
-        self.factors: dict[float, np.ndarray] = {}
+        self.factors: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def fill(self, plan: _Plan, working: np.ndarray, scores: np.ndarray | None) -> None:
         """Write this visit's predictors and per-visit ``scores`` and bring the Gram up to date."""
@@ -528,31 +541,31 @@ class _Design:
         if not rebuild and width == k:
             return  # nothing moves
         if rebuild:
-            start = 0
-            self.x_obs = np.empty((int(self.observed.sum()), width))
-            self.x_mis = np.empty((self.observed.size - self.x_obs.shape[0], width))
+            self.x_obs = np.empty((self.rows.size, width), order="F")
+            self.x_mis = np.empty((self.gaps.size, width), order="F")
             self.gram = np.empty((width, width), order="F")
-            blocks = [working[:, self.fixed], plan.fixed_scores, working[:, self.moving], scores]
-        else:
-            start = k
-            blocks = [working[:, self.moving], scores]
-        blocks = [block for block in blocks if block is not None]
-        values = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
-        observed = values[self.observed]
+        # One row per column: the column-major stores' columns, written in place.
+        x_obs, x_mis = self.x_obs.T, self.x_mis.T
+        start, end = (0 if rebuild else k), k + self.moving.size
+        if rebuild and k:
+            blocks = [working[:, self.fixed], plan.fixed_scores]
+            static = np.hstack([block for block in blocks if block is not None])
+            x_obs[:k], x_mis[:k] = static[self.rows].T, static[self.gaps].T
+        if end > k:
+            x_obs[k:end], x_mis[k:end] = working.take(self.cells[0]), working.take(self.cells[1])
+            self.flat = np.ptp(x_obs[k:end], axis=1) == 0.0
+        if scores is not None:
+            x_obs[end:], x_mis[end:] = scores[self.rows].T, scores[self.gaps].T
+        x_obs, x_mis = x_obs[start:], x_mis[start:]
         # Each centre sums its column's own contiguous cells, so it does not
-        # depend on how many columns the border holds.  The flat check reads
-        # the same copy: a row-major block's rows are slow to reduce.
-        by_column = np.ascontiguousarray(observed.T)
-        centres = by_column.mean(axis=1)
-        if self.moving.size:
-            self.flat = np.ptp(by_column[k - start : k - start + self.moving.size], axis=1) == 0.0
-        del by_column  # n x r cells on a rebuild, freed before the Gram is built
-        self.x_obs[:, start:] = observed - centres
-        self.x_mis[:, start:] = values[~self.observed] - centres
+        # depend on how many columns the border holds (``mean``'s own division).
+        centres = x_obs.sum(axis=1)[:, None] / self.rows.size
+        x_obs -= centres
+        x_mis -= centres
         # The Gram's rows and columns from ``start`` on, O(n r b), from the stored
         # centred columns.  Fortran order makes the draw's LAPACK copy a plain one;
         # on a rebuild numpy forms ``x.T @ x`` by ``syrk``, so it is exactly symmetric.
-        cross = self.x_obs[:, start:].T @ self.x_obs
+        cross = x_obs @ self.x_obs
         self.gram[:, start:] = cross.T
         self.gram[start:, :] = cross
 
@@ -602,8 +615,8 @@ def _impute_column(
     where: str,
 ) -> np.ndarray:
     spec, data = plan.spec, plan.data
-    observed = data.mask[:, target]
-    y_obs = data.values[observed, target]
+    design = plan.designs[target]
+    y_obs = design.y_obs
     x_obs, x_mis, gram = predictors
     try:
         if spec.imputer == IMPUTER_BAYES:
@@ -615,7 +628,7 @@ def _impute_column(
         raise ValueError(f"{where}, column {data.names[target]!r}: {err}") from err
     if not np.isfinite(imputed).all():
         raise ValueError(f"{where}, column {data.names[target]!r}: non-finite imputation")
-    working[~observed, target] = imputed
+    working[design.gaps, target] = imputed
     return imputed
 
 
@@ -647,14 +660,18 @@ def _run_chain(
             if state is not None:
                 state.refresh(working, target)
             if trace is not None:
-                sd = float(np.std(imputed, ddof=1)) if imputed.size > 1 else float("nan")
+                # ``np.mean`` and ``np.std(ddof=1)``'s own arithmetic, without their wrappers.
+                level = imputed.sum() / imputed.size
+                spread = imputed - level
+                spread *= spread
+                sd = math.sqrt(spread.sum() / (imputed.size - 1)) if imputed.size > 1 else math.nan
                 trace.append(
                     TraceRecord(
                         chain=chain_index,
                         iteration=sweep,
                         column=target,
                         column_name=data.names[target],
-                        imputed_mean=float(np.mean(imputed)),
+                        imputed_mean=float(level),
                         imputed_sd=sd,
                     )
                 )

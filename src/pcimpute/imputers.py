@@ -25,6 +25,7 @@ again, so the donors are exactly those of a stable sort of every gap.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -65,7 +66,7 @@ def _load_flapack() -> ModuleType:
 
 _flapack = _load_flapack()
 # The one binding site of every LAPACK routine the package calls (``pca`` takes dsyevr).
-dpotrf, dpotrs, dsyevr, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dsyevr, _flapack.dtrtrs
+dpotrf, dsyevr, dtrtrs = _flapack.dpotrf, _flapack.dsyevr, _flapack.dtrtrs
 
 IMPUTER_BAYES = "bayesian-normal"
 IMPUTER_PMM = "pmm"
@@ -73,6 +74,7 @@ IMPUTER_KINDS = (IMPUTER_BAYES, IMPUTER_PMM)
 
 DEFAULT_RIDGE = 1e-5
 DEFAULT_DONORS = 5
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(eq=False)
@@ -96,15 +98,19 @@ class BorderedGram:
     """An unridged centred Gram whose leading ``static`` columns are the same at every draw.
 
     ``matrix`` is the Gram of the draw's predictors: its first ``static``
-    columns, then the border.  The first draw factors the ridged static
-    block and keeps its lower Cholesky factor in ``factors``, keyed by the
-    ridge, so every later draw that shares ``factors`` (and so must see the
-    same static block) factors only its border.
+    columns, then the border.  The first draw with a given ridge keeps the
+    static block's per-run products in ``factors``, keyed by the ridge: the
+    lower Cholesky factor ``L_s`` of the ridged static block and
+    ``z_s = L_s^-1 X_s'(y - mean(y))``, ``X_s`` the static columns of
+    ``x_obs``.  So every draw that shares ``factors`` must also share the
+    static block, ``x_obs``'s static columns and ``y_obs``; it then factors
+    and solves only its border, and checks only the border's cells and
+    ``y_obs`` for finiteness.
     """
 
     matrix: np.ndarray
     static: int = 0
-    factors: dict[float, np.ndarray] = field(default_factory=dict)
+    factors: dict[float, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 def _bordered(gram, r: int) -> BorderedGram:
@@ -119,21 +125,12 @@ def _bordered(gram, r: int) -> BorderedGram:
     return gram
 
 
-def _not_positive_definite(minor: int, r: int, *blocks: np.ndarray) -> ValueError:
-    """The error for a ridged Gram of order ``r`` whose leading ``minor`` is not positive."""
-    if not all(np.isfinite(block).all() for block in blocks):
-        return ValueError("non-finite regression coefficients: X'X or X'y overflowed")
-    return np.linalg.LinAlgError(
-        f"ridged Gram is not positive definite (leading minor {minor} of {r})"
-    )
-
-
-def _cholesky(block: np.ndarray, ridge: float, before: int, r: int, *parts) -> np.ndarray:
+def _cholesky(block: np.ndarray, ridge: float, before: int, r: int, whole: np.ndarray) -> np.ndarray:
     """The lower Cholesky factor of ``block + ridge * I``; ``block`` is not written.
 
     ``before`` leading minors of the draw's order-``r`` Gram precede the
-    block, so a failure names the whole Gram's minor; ``parts``, the blocks
-    ``block`` came from, are checked for overflow only then.
+    block, so a failure names the whole Gram's minor; ``whole``, the Gram
+    ``block`` came from, is checked for overflow only then.
     """
     # LAPACK factors in place the Fortran-order copy f2py would otherwise make.
     # It reads the lower triangle (a Gram refreshed in place need not be
@@ -142,69 +139,82 @@ def _cholesky(block: np.ndarray, ridge: float, before: int, r: int, *parts) -> n
     ridged.flat[:: len(ridged) + 1] += ridge  # the diagonal, in either memory order
     lower, info = dpotrf(ridged, lower=1, clean=1, overwrite_a=1)
     if info != 0:  # the order of the block's first leading minor that is not positive
-        raise _not_positive_definite(before + info, r, *parts)
+        if not np.isfinite(whole).all():
+            raise ValueError("non-finite regression coefficients: X'X or X'y overflowed")
+        raise np.linalg.LinAlgError(
+            f"ridged Gram is not positive definite (leading minor {before + info} of {r})"
+        )
     return lower
 
 
-def _factor(gram: BorderedGram, ridge: float) -> np.ndarray:
-    """The lower Cholesky factor of the draw's Gram plus ``ridge * I``; the one
-    place the ridge is added.
-
-    Without a static block this is one ``dpotrf`` of the whole Gram.  With
-    one, ``L_s``, the static block's factor, comes from ``gram.factors``
-    (made at the first draw), ``W = L_s^-1 G_sb`` from one triangular solve,
-    and ``L_b`` from the border's Schur complement ``G_bb + ridge I - W'W``;
-    the factor is ``[[L_s, 0], [W', L_b]]`` (Golub & Van Loan, *Matrix
-    Computations*, 4th ed., section 4.2).  A failure names the first
-    leading minor of the whole ridged Gram that is not positive.
-    """
-    k, matrix, r = gram.static, gram.matrix, len(gram.matrix)
-    g_ss, g_sb, g_bb = matrix[:k, :k], matrix[:k, k:], matrix[k:, k:]
-    if not k:
-        return _cholesky(g_bb, ridge, 0, r, g_bb)
-    static = gram.factors.get(ridge)
-    if static is None:
-        static = gram.factors[ridge] = _cholesky(g_ss, ridge, 0, r, g_ss)
-    if r == k:
-        return static
-    w = dtrtrs(static, g_sb, lower=1)[0]
-    border = _cholesky(g_bb - w.T @ w, ridge, k, r, g_ss, g_sb, g_bb)
-    lower = np.empty((r, r), order="F")
-    lower[:k, :k] = static
-    lower[:k, k:] = 0.0
-    lower[k:, :k] = w.T
-    lower[k:, k:] = border
-    return lower
-
-
-def _solve(x: np.ndarray, y: np.ndarray, ridge: float, gram):
-    """The ridged slopes of ``y ~ 1 + x`` on centred predictors.
+def _solve(x: np.ndarray, y: np.ndarray, ridge: float, gram, noise: np.ndarray):
+    """The ridged slopes of ``y ~ 1 + x`` on centred predictors, and ``L^-T noise``.
 
     ``gram`` is ``xc' xc``, the unridged cross-product of ``x``'s centred
     columns (formed when None), as an r x r array or a ``BorderedGram``;
-    ``_factor`` is the one place ``ridge * I`` is added.  Returns
-    ``(slopes, lower)``, ``lower`` the lower Cholesky factor of
-    ``xc' xc + ridge * I``.  The unridged intercept in ``x``'s coordinates,
+    this is the one place ``ridge * I`` is added.  ``L``, the lower
+    Cholesky factor of ``xc' xc + ridge * I``, is never assembled.  With a
+    static block of k columns it is ``[[L_s, 0], [W', L_b]]`` (Golub & Van
+    Loan, *Matrix Computations*, 4th ed., section 4.2): ``L_s`` and
+    ``z_s = L_s^-1 X_s'(y - mean(y))`` come from ``gram.factors`` (made at
+    the first draw), ``W = L_s^-1 G_sb`` from one triangular solve, and
+    ``L_b`` factors the border's Schur complement ``G_bb + ridge I - W'W``.
+    Without a static block ``L_b`` is one ``dpotrf`` of the whole Gram.
+    The border's ``z_b = L_b^-1 (X_b'(y - mean(y)) - W' z_s)`` completes
+    ``z = L^-1 x'(y - mean(y))``, and one back-solve of ``[z, noise]``
+    through ``L_b`` and then ``L_s`` gives the slopes ``L^-T z`` and the
+    noise map ``L^-T noise`` together.  A failure names the first leading
+    minor of the whole ridged Gram that is not positive.
+
+    Returns ``(solved, lower)``: ``solved`` is r x 2, the slopes and then
+    ``L^-T noise``, and ``lower`` is ``L_b``, the whole factor when there
+    is no static block.  The unridged intercept in ``x``'s coordinates,
     ``mean(y) - mean(x) @ slopes``, is the mean of ``y - x @ slopes``.
     """
+    r = x.shape[1]
     if x.shape[0] != y.shape[0]:
         raise ValueError("predictor and outcome row counts differ")
     if not 0.0 <= ridge < np.inf:
         raise ValueError(f"ridge must be nonnegative and finite, got {ridge!r}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    if gram is not None:
+        gram = _bordered(gram, r)
+    k = 0 if gram is None else gram.static
+    record = gram.factors.get(ridge) if k else None
+    # A draw that reuses the static products reuses their finite cells too.
+    if not (np.isfinite(x if record is None else x[:, k:]).all() and np.isfinite(y).all()):
         raise ValueError("design and outcome must be finite")
     if gram is None:
         centred = x - x.mean(axis=0)
-        gram = centred.T @ centred
-    lower = _factor(_bordered(gram, x.shape[1]), ridge)
+        gram = BorderedGram(centred.T @ centred)
     # The centred outcome sums to zero, so x' (y - mean) is the centred cross product.
-    # LAPACK refuses the empty system of an intercept-only model.
-    slopes = dpotrs(lower, x.T @ (y - y.sum() / y.size), lower=1)[0] if x.shape[1] else np.empty(0)
+    outcome = y - y.sum() / y.size
+    matrix = gram.matrix
+    if record is None and k:
+        factor = _cholesky(matrix[:k, :k], ridge, 0, r, matrix[:k, :k])
+        record = gram.factors[ridge] = (factor, dtrtrs(factor, x[:, :k].T @ outcome, lower=1)[0])
+    solved = np.empty((r, 2))
+    solved[:, 1] = noise
+    lower = np.empty((0, 0))  # no border
+    # LAPACK refuses an empty system, so an empty block skips its solves.
+    if k < r:
+        border, cross = matrix[k:, k:], x[:, k:].T @ outcome
+        if k:
+            w = dtrtrs(record[0], matrix[:k, k:], lower=1)[0]
+            border = border - w.T @ w
+            cross -= w.T @ record[1]
+        lower = _cholesky(border, ridge, k, r, matrix)
+        solved[k:, 0] = dtrtrs(lower, cross, lower=1)[0]
+        solved[k:] = dtrtrs(lower, solved[k:], lower=1, trans=1)[0]
+    if k:
+        solved[:k, 0] = record[1]
+        if k < r:
+            solved[:k] -= w @ solved[k:]
+        solved[:k] = dtrtrs(record[0], solved[:k], lower=1, trans=1)[0]
     # The inputs are finite, so a non-finite factor or solution can only come
     # from products that overflowed; one O(r) check covers both.
-    if not np.isfinite(slopes).all():
+    if not np.isfinite(solved).all():
         raise ValueError("non-finite regression coefficients: X'X or X'y overflowed")
-    return slopes, lower
+    return solved, lower
 
 
 def _inputs(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +241,8 @@ def ridged_least_squares(x: np.ndarray, y: np.ndarray, ridge: float = DEFAULT_RI
     Cholesky triangle of ``xc' xc + ridge * I`` (``xc``: ``x`` centred), zero above it.
     """
     x, y = _inputs(x, y)
-    slopes, lower = _solve(x, y, ridge, None)
+    solved, lower = _solve(x, y, ridge, None, np.zeros(x.shape[1]))
+    slopes = solved[:, 0]
     return np.append((y - x @ slopes).mean(), slopes), lower
 
 
@@ -251,11 +262,16 @@ def draw_linear_params(
     normal around the ridged least-squares solution with covariance
     ``sigma^2 (Xc'Xc + ridge I)^{-1}``; the draw is then mapped back to
     ``x_obs``'s own coordinates.  So a shift of a predictor column moves
-    only the intercept.  ``gram``, when given, must be ``Xc'Xc`` (up to
-    rounding), never ridged by the caller, and is not written: a caller
-    that keeps it across draws whose predictors barely change saves its
-    O(n_obs r^2) product.  As a ``BorderedGram`` whose static block is the
-    same at every draw, it also saves the O(r^3 / 3) factor of that block.
+    only the intercept.  The chi-square and then the normal vector are
+    drawn first, so the solve that gives the slopes maps the noise too.
+    ``gram``, when given, must be ``Xc'Xc`` (up to rounding), never ridged
+    by the caller, and is not written: a caller that keeps it across draws
+    whose predictors barely change saves its O(n_obs r^2) product.  As a
+    ``BorderedGram``, draws that share its ``factors`` must share the
+    static block, ``x_obs``'s static columns and ``y_obs``, as a target's
+    complete columns and observed outcome are shared by its visits; they
+    then save the O(k^3 / 3) factor of that block, its O(n_obs k) cross
+    product with ``y_obs`` and the finiteness check of its cells.
 
     Raises
     ------
@@ -277,19 +293,20 @@ def draw_linear_params(
             f"overparameterized imputation model: {r} predictors with "
             f"{n_obs} observed cases leaves {df} degrees of freedom"
         )
-    slopes, lower = _solve(x_obs, y_obs, ridge, gram)
-    offsets = y_obs - x_obs @ slopes
-    residuals = offsets - offsets.sum() / n_obs
-    sigma2 = float(residuals @ residuals) / rng.chisquare(df)
+    chi2 = rng.chisquare(df)
     noise = rng.standard_normal(r + 1)
+    solved = _solve(x_obs, y_obs, ridge, gram, noise[1:])[0]
+    # One pass over x_obs: the fit of the slopes, and of their shift L^-T z[1:].
+    fits = x_obs @ solved
+    offsets = y_obs - fits[:, 0]
+    level = offsets.sum() / n_obs
+    residuals = offsets - level
     # An exact fit draws sigma 0; the floor keeps the residual SD positive.
-    residual_sd = max(float(np.sqrt(sigma2)), float(np.finfo(float).tiny))
-    # The slopes move by L^-T z[1:] (no solve without predictors).
-    shift = dtrtrs(lower, noise[1:], lower=1, trans=1)[0] if r else noise[1:]
-    drawn = slopes + residual_sd * shift
+    residual_sd = max(math.sqrt(float(residuals @ residuals) / chi2), _TINY)
+    drawn = solved[:, 0] + residual_sd * solved[:, 1]
     # On centred predictors the intercept is mean(y) + sigma z[0] / sqrt(n); in
     # x_obs's coordinates it is less mean(x) @ drawn, which is mean(y - x @ drawn).
-    intercept = (y_obs - x_obs @ drawn).sum() / n_obs + residual_sd * noise[0] / np.sqrt(n_obs)
+    intercept = level + residual_sd * (noise[0] / math.sqrt(n_obs) - fits[:, 1].sum() / n_obs)
     return LinearModelDraw(np.concatenate(([intercept], drawn)), residual_sd)
 
 

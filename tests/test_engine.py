@@ -852,15 +852,16 @@ class TestStaticBlockFactor:
                 gap = ~data.mask[:, j]
                 working[gap, j] = np.random.default_rng(sweep + j).standard_normal(int(gap.sum()))
         assert gram.static > 200 and x_obs.shape[1] - gram.static == 3
-        ridge = DEFAULT_RIDGE
-        lower = imputers._factor(gram, ridge)
-        ridged = gram.matrix + ridge * np.eye(x_obs.shape[1])
-        root = np.linalg.inv(lower).T  # S = L^-T, the draw's noise map
-        inverse = np.linalg.inv(ridged)
-        assert np.linalg.norm(root @ root.T - inverse) / np.linalg.norm(inverse) < 1e-12
+        ridge, width = DEFAULT_RIDGE, x_obs.shape[1]
         y_obs = data.values[observed, 0]
-        slopes = imputers._solve(x_obs, y_obs, ridge, gram)[0]
-        full = imputers._solve(x_obs, y_obs, ridge, gram.matrix)[0]
+        # S = L^-T, the draw's noise map: its column i maps the i-th unit vector.
+        root = np.column_stack(
+            [imputers._solve(x_obs, y_obs, ridge, gram, unit)[0][:, 1] for unit in np.eye(width)]
+        )
+        inverse = np.linalg.inv(gram.matrix + ridge * np.eye(width))
+        assert np.linalg.norm(root @ root.T - inverse) / np.linalg.norm(inverse) < 1e-12
+        slopes = imputers._solve(x_obs, y_obs, ridge, gram, np.zeros(width))[0][:, 0]
+        full = imputers._solve(x_obs, y_obs, ridge, gram.matrix, np.zeros(width))[0][:, 0]
         assert np.linalg.norm(slopes - full) / np.linalg.norm(full) < 1e-12
 
     def test_static_block_is_factored_once_per_target_per_run(self, monkeypatch):

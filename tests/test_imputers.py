@@ -470,3 +470,58 @@ class TestGivenGram:
             assert block.residual_sd == pytest.approx(full.residual_sd, rel=0, abs=1e-9)
         # One static factor served every draw.
         assert list(factors) == [DEFAULT_RIDGE]
+
+    @staticmethod
+    def _blocks():
+        # Six correlated predictors, centred, and an outcome on all of them.
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((40, 6)) @ rng.standard_normal((6, 6))
+        x -= x.mean(axis=0)
+        return x, x @ rng.standard_normal(6) + rng.standard_normal(40)
+
+    @pytest.mark.parametrize("static", [0, 4])
+    def test_static_products_are_made_once_per_ridge(self, static):
+        # Columns 0-3 are the static block when ``static`` is 4; each draw's border
+        # is a subset of 4-5.  With no static block the last draw has no predictors.
+        x, y = self._blocks()
+        matrix, factors, made = x.T @ x, {}, {}
+        for ridge in (DEFAULT_RIDGE, 0.5):
+            for border in ([4, 5], [5], [4, 5], []):
+                columns = [*range(static), *border]
+                compact = matrix[np.ix_(columns, columns)]
+                gram = BorderedGram(compact, static, factors)
+                block = draw_linear_params(y, x[:, columns], np.random.default_rng(2), ridge, gram)
+                full = draw_linear_params(y, x[:, columns], np.random.default_rng(2), ridge, compact)
+                np.testing.assert_allclose(block.coefficients, full.coefficients, rtol=0, atol=1e-9)
+                assert block.residual_sd == pytest.approx(full.residual_sd, rel=0, abs=1e-9)
+                if static:
+                    assert factors[ridge] is made.setdefault(ridge, factors[ridge])
+        if not static:
+            assert factors == {}
+            return
+        assert list(factors) == [DEFAULT_RIDGE, 0.5]
+        for ridge, (lower, z) in factors.items():
+            np.testing.assert_allclose(lower @ lower.T, matrix[:4, :4] + ridge * np.eye(4), atol=1e-9)
+            np.testing.assert_allclose(lower @ z, x[:, :4].T @ (y - y.mean()), atol=1e-9)
+
+    def test_shared_static_products_keep_every_finite_check(self):
+        x, y = self._blocks()
+        rng = np.random.default_rng(4)
+        gram = BorderedGram(x.T @ x, 4, {})
+        draw_linear_params(y, x, rng, gram=gram)
+        assert list(gram.factors) == [DEFAULT_RIDGE]
+        # A later draw that shares the static products still checks its border and outcome.
+        for column, row in ((4, 7), (5, 39)):
+            bad = x.copy()
+            bad[row, column] = np.nan
+            with pytest.raises(ValueError, match="^design and outcome must be finite$"):
+                draw_linear_params(y, bad, rng, gram=gram)
+        with pytest.raises(ValueError, match="^design and outcome must be finite$"):
+            draw_linear_params(np.where(np.arange(40) == 3, np.inf, y), x, rng, gram=gram)
+        # The draw that would build the static products checks every static cell.
+        fresh = BorderedGram(x.T @ x, 4, {})
+        bad = x.copy()
+        bad[11, 2] = -np.inf
+        with pytest.raises(ValueError, match="^design and outcome must be finite$"):
+            draw_linear_params(y, bad, rng, gram=fresh)
+        assert fresh.factors == {}
