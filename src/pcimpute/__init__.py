@@ -31,6 +31,7 @@ _EXPORTS = {
     ),
     "imputers": (
         "LinearModelDraw",
+        "StaticBlock",
         "draw_linear_params",
         "draw_predictive",
         "pmm_impute",

@@ -62,7 +62,7 @@ from .imputers import (
     IMPUTER_BAYES,
     IMPUTER_KINDS,
     IMPUTER_PMM,
-    BorderedGram,
+    StaticBlock,
     draw_linear_params,
     draw_predictive,
     pmm_impute,
@@ -501,11 +501,10 @@ class _Design:
     once, as index arrays (``rows``, ``gaps``), with its observed outcome
     ``y_obs`` and its moving columns' cells on each (``cells``).
 
-    The draw keeps the static block's per-run products in ``factors`` at the
-    target's first visit: the ridged block's factor and its solve against
-    ``y_obs``, which the target's observed outcome and complete columns keep
-    valid for the run.  Each visit then factors and solves only the border,
-    through its Schur complement (``imputers.BorderedGram``).  The column
+    At the target's first draw ``_impute_column`` makes ``static_block``
+    (``imputers.StaticBlock``), the static block's products, which its
+    observed outcome and complete columns keep valid for the run.  Each
+    visit then factors and solves only the border's Schur complement.  The column
     order decides which square root of the slopes' posterior covariance maps
     the draw's noise, so reordering the columns changes a seeded sample but
     not the posterior it comes from: the predicted value that moved by 5.7
@@ -531,7 +530,7 @@ class _Design:
         self.static = self.fixed.size + (0 if scores is None else scores.shape[1])
         self.flat = np.zeros(self.moving.size, dtype=bool)
         self.gram: np.ndarray | None = None
-        self.factors: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self.static_block: StaticBlock | None = None
 
     def fill(self, plan: _Plan, working: np.ndarray, scores: np.ndarray | None) -> None:
         """Write this visit's predictors and per-visit ``scores`` and bring the Gram up to date."""
@@ -575,7 +574,7 @@ def build_predictors(
     working: np.ndarray,
     target: int,
     state: RunningCorrelation | None = None,
-) -> tuple[np.ndarray, np.ndarray, BorderedGram]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The predictors of one column visit, as ``(x_obs, x_mis, gram)``.
 
     ``working`` must be a complete matrix holding current draws in the
@@ -585,31 +584,27 @@ def build_predictors(
     which), and the plan's component scores, static block first, on the
     target's observed rows (``x_obs``) and missing rows (``x_mis``), each
     centred on its mean over the observed rows; ``gram`` holds
-    ``x_obs.T @ x_obs`` up to rounding, unridged, and the target's factor
-    of its static block once a draw has made it.
-    They are the plan's cache for the target (see ``_Design``), valid
-    until the target's next visit.
+    ``x_obs.T @ x_obs`` up to rounding, unridged.  They are the plan's
+    cache for the target (see ``_Design``), valid until its next visit.
     """
     design = plan.designs.get(target)
     if design is None:
         design = plan.designs[target] = _Design(plan, target)
     design.fill(plan, working, plan.scores(working, target, state))
-    static = design.static
     dead = np.flatnonzero(design.flat)
     if dead.size == 0:
-        return design.x_obs, design.x_mis, BorderedGram(design.gram, static, design.factors)
+        return design.x_obs, design.x_mis, design.gram
     _warn_dropped(plan, design.moving[dead], target)
     # A moving column that is flat at this visit sits out of this visit's border
-    # only; ``keep`` holds every static position, so the static factor still applies.
-    keep = np.delete(np.arange(design.x_obs.shape[1]), static + dead)
-    gram = BorderedGram(design.gram[np.ix_(keep, keep)], static, design.factors)
-    return design.x_obs[:, keep], design.x_mis[:, keep], gram
+    # only; ``keep`` holds every static position, so the static block still applies.
+    keep = np.delete(np.arange(design.x_obs.shape[1]), design.static + dead)
+    return design.x_obs[:, keep], design.x_mis[:, keep], design.gram[np.ix_(keep, keep)]
 
 
 def _impute_column(
     plan: _Plan,
     working: np.ndarray,
-    predictors: tuple[np.ndarray, np.ndarray, BorderedGram],
+    predictors: tuple[np.ndarray, np.ndarray, np.ndarray],
     target: int,
     rng: np.random.Generator,
     where: str,
@@ -619,11 +614,14 @@ def _impute_column(
     y_obs = design.y_obs
     x_obs, x_mis, gram = predictors
     try:
+        if design.static and design.static_block is None:
+            design.static_block = StaticBlock.of(y_obs, x_obs, gram, design.static, spec.ridge)
+        static = design.static_block
         if spec.imputer == IMPUTER_BAYES:
-            params = draw_linear_params(y_obs, x_obs, rng, spec.ridge, gram=gram)
+            params = draw_linear_params(y_obs, x_obs, rng, spec.ridge, gram, static)
             imputed = draw_predictive(params, x_mis, rng)
         else:
-            imputed = pmm_impute(y_obs, x_obs, x_mis, rng, spec.donors, spec.ridge, gram=gram)
+            imputed = pmm_impute(y_obs, x_obs, x_mis, rng, spec.donors, spec.ridge, gram, static)
     except ValueError as err:
         raise ValueError(f"{where}, column {data.names[target]!r}: {err}") from err
     if not np.isfinite(imputed).all():

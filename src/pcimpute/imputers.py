@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
 from types import ModuleType
@@ -93,36 +93,29 @@ class LinearModelDraw:
         return self.coefficients[0] + x @ self.coefficients[1:]
 
 
-@dataclass(eq=False)
-class BorderedGram:
-    """An unridged centred Gram whose leading ``static`` columns are the same at every draw.
+@dataclass(frozen=True, eq=False)
+class StaticBlock:
+    """The draw's products of its first k columns, made once for the draws that share them.
 
-    ``matrix`` is the Gram of the draw's predictors: its first ``static``
-    columns, then the border.  The first draw with a given ridge keeps the
-    static block's per-run products in ``factors``, keyed by the ridge: the
-    lower Cholesky factor ``L_s`` of the ridged static block and
-    ``z_s = L_s^-1 X_s'(y - mean(y))``, ``X_s`` the static columns of
-    ``x_obs``.  So every draw that shares ``factors`` must also share the
-    static block, ``x_obs``'s static columns and ``y_obs``; it then factors
-    and solves only its border, and checks only the border's cells and
-    ``y_obs`` for finiteness.
+    ``lower`` is ``L_s``, the lower Cholesky factor of the Gram's ridged
+    k x k static block, and ``z`` is ``L_s^-1 X_s'(y - mean(y))``, ``X_s``
+    those columns of ``x_obs``; k is ``lower.shape[0]``.
     """
 
-    matrix: np.ndarray
-    static: int = 0
-    factors: dict[float, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    lower: np.ndarray
+    z: np.ndarray
+    ridge: float
 
-
-def _bordered(gram, r: int) -> BorderedGram:
-    """``gram`` as a ``BorderedGram`` of ``r`` predictors, or a ``ValueError`` naming it."""
-    if not isinstance(gram, BorderedGram):
-        gram = BorderedGram(np.asarray(gram, dtype=float))
-    shape, k = np.shape(gram.matrix), gram.static
-    if shape != (r, r):
-        raise ValueError(f"gram must be {r} x {r} for {r} predictors, got shape {shape}")
-    if not 0 <= k <= r:
-        raise ValueError(f"gram's static block of {k} columns must lie inside its {r}")
-    return gram
+    @classmethod
+    def of(cls, y_obs, x_obs, gram, k: int, ridge: float = DEFAULT_RIDGE) -> StaticBlock:
+        """The record of ``x_obs``'s first ``k`` columns, its inputs checked as the draw's are."""
+        x, y = _inputs(x_obs, y_obs)
+        r = x.shape[1]
+        if not 0 < k <= r:
+            raise ValueError(f"a static block of {k} columns must lie inside the {r} predictors")
+        block = _checked_gram(x, y, ridge, gram, slice(k))[:k, :k]
+        lower = _cholesky(block, ridge, 0, r, block)
+        return cls(lower, dtrtrs(lower, x[:, :k].T @ (y - y.sum() / y.size), lower=1)[0], ridge)
 
 
 def _cholesky(block: np.ndarray, ridge: float, before: int, r: int, whole: np.ndarray) -> np.ndarray:
@@ -147,24 +140,40 @@ def _cholesky(block: np.ndarray, ridge: float, before: int, r: int, whole: np.nd
     return lower
 
 
-def _solve(x: np.ndarray, y: np.ndarray, ridge: float, gram, noise: np.ndarray):
+def _checked_gram(x: np.ndarray, y: np.ndarray, ridge: float, gram, finite: slice) -> np.ndarray:
+    """``gram``, formed when None, once the inputs pass; ``finite`` picks the checked columns."""
+    r = x.shape[1]
+    if x.shape[0] != y.shape[0]:
+        raise ValueError("predictor and outcome row counts differ")
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be nonnegative and finite, got {ridge!r}")
+    if gram is not None and np.shape(gram) != (r, r):
+        raise ValueError(f"gram must be {r} x {r} for {r} predictors, got shape {np.shape(gram)}")
+    if not (np.isfinite(x[:, finite]).all() and np.isfinite(y).all()):
+        raise ValueError("design and outcome must be finite")
+    if gram is not None:
+        return np.asarray(gram, dtype=float)
+    centred = x - x.mean(axis=0)
+    return centred.T @ centred
+
+
+def _solve(x: np.ndarray, y: np.ndarray, ridge: float, gram, noise, static=None):
     """The ridged slopes of ``y ~ 1 + x`` on centred predictors, and ``L^-T noise``.
 
     ``gram`` is ``xc' xc``, the unridged cross-product of ``x``'s centred
-    columns (formed when None), as an r x r array or a ``BorderedGram``;
-    this is the one place ``ridge * I`` is added.  ``L``, the lower
-    Cholesky factor of ``xc' xc + ridge * I``, is never assembled.  With a
-    static block of k columns it is ``[[L_s, 0], [W', L_b]]`` (Golub & Van
-    Loan, *Matrix Computations*, 4th ed., section 4.2): ``L_s`` and
-    ``z_s = L_s^-1 X_s'(y - mean(y))`` come from ``gram.factors`` (made at
-    the first draw), ``W = L_s^-1 G_sb`` from one triangular solve, and
-    ``L_b`` factors the border's Schur complement ``G_bb + ridge I - W'W``.
-    Without a static block ``L_b`` is one ``dpotrf`` of the whole Gram.
-    The border's ``z_b = L_b^-1 (X_b'(y - mean(y)) - W' z_s)`` completes
-    ``z = L^-1 x'(y - mean(y))``, and one back-solve of ``[z, noise]``
-    through ``L_b`` and then ``L_s`` gives the slopes ``L^-T z`` and the
-    noise map ``L^-T noise`` together.  A failure names the first leading
-    minor of the whole ridged Gram that is not positive.
+    columns (formed when None); this is the one place ``ridge * I`` is
+    added.  ``L``, the lower Cholesky factor of ``xc' xc + ridge * I``, is
+    never assembled.  With a ``static`` block of k columns it is
+    ``[[L_s, 0], [W', L_b]]`` (Golub & Van Loan, *Matrix Computations*,
+    4th ed., section 4.2): ``L_s`` and ``z_s = L_s^-1 X_s'(y - mean(y))``
+    come from the ``StaticBlock``, ``W = L_s^-1 G_sb`` from one triangular
+    solve, and ``L_b`` factors the border's Schur complement
+    ``G_bb + ridge I - W'W``.  Without one ``L_b`` is one ``dpotrf`` of the
+    whole Gram.  The border's ``z_b = L_b^-1 (X_b'(y - mean(y)) - W' z_s)``
+    completes ``z = L^-1 x'(y - mean(y))``, and one back-solve of
+    ``[z, noise]`` through ``L_b`` and then ``L_s`` gives the slopes
+    ``L^-T z`` and the noise map ``L^-T noise`` together.  A failure names
+    the first leading minor of the whole ridged Gram that is not positive.
 
     Returns ``(solved, lower)``: ``solved`` is r x 2, the slopes and then
     ``L^-T noise``, and ``lower`` is ``L_b``, the whole factor when there
@@ -172,26 +181,18 @@ def _solve(x: np.ndarray, y: np.ndarray, ridge: float, gram, noise: np.ndarray):
     ``mean(y) - mean(x) @ slopes``, is the mean of ``y - x @ slopes``.
     """
     r = x.shape[1]
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("predictor and outcome row counts differ")
-    if not 0.0 <= ridge < np.inf:
-        raise ValueError(f"ridge must be nonnegative and finite, got {ridge!r}")
-    if gram is not None:
-        gram = _bordered(gram, r)
-    k = 0 if gram is None else gram.static
-    record = gram.factors.get(ridge) if k else None
-    # A draw that reuses the static products reuses their finite cells too.
-    if not (np.isfinite(x if record is None else x[:, k:]).all() and np.isfinite(y).all()):
-        raise ValueError("design and outcome must be finite")
-    if gram is None:
-        centred = x - x.mean(axis=0)
-        gram = BorderedGram(centred.T @ centred)
+    k = 0 if static is None else static.lower.shape[0]
+    if static is not None:
+        if gram is None:
+            raise ValueError("a static block needs the gram it was made from")
+        if static.ridge != ridge:
+            raise ValueError(f"static block made at ridge {static.ridge!r}, not {ridge!r}")
+        if k > r:
+            raise ValueError(f"gram's static block of {k} columns must lie inside its {r}")
+    # The static block's cells were checked as its record was made.
+    matrix = _checked_gram(x, y, ridge, gram, slice(k, None))
     # The centred outcome sums to zero, so x' (y - mean) is the centred cross product.
     outcome = y - y.sum() / y.size
-    matrix = gram.matrix
-    if record is None and k:
-        factor = _cholesky(matrix[:k, :k], ridge, 0, r, matrix[:k, :k])
-        record = gram.factors[ridge] = (factor, dtrtrs(factor, x[:, :k].T @ outcome, lower=1)[0])
     solved = np.empty((r, 2))
     solved[:, 1] = noise
     lower = np.empty((0, 0))  # no border
@@ -199,17 +200,17 @@ def _solve(x: np.ndarray, y: np.ndarray, ridge: float, gram, noise: np.ndarray):
     if k < r:
         border, cross = matrix[k:, k:], x[:, k:].T @ outcome
         if k:
-            w = dtrtrs(record[0], matrix[:k, k:], lower=1)[0]
+            w = dtrtrs(static.lower, matrix[:k, k:], lower=1)[0]
             border = border - w.T @ w
-            cross -= w.T @ record[1]
+            cross -= w.T @ static.z
         lower = _cholesky(border, ridge, k, r, matrix)
         solved[k:, 0] = dtrtrs(lower, cross, lower=1)[0]
         solved[k:] = dtrtrs(lower, solved[k:], lower=1, trans=1)[0]
     if k:
-        solved[:k, 0] = record[1]
+        solved[:k, 0] = static.z
         if k < r:
             solved[:k] -= w @ solved[k:]
-        solved[:k] = dtrtrs(record[0], solved[:k], lower=1, trans=1)[0]
+        solved[:k] = dtrtrs(static.lower, solved[:k], lower=1, trans=1)[0]
     # The inputs are finite, so a non-finite factor or solution can only come
     # from products that overflowed; one O(r) check covers both.
     if not np.isfinite(solved).all():
@@ -251,7 +252,8 @@ def draw_linear_params(
     x_obs: np.ndarray,
     rng: np.random.Generator,
     ridge: float = DEFAULT_RIDGE,
-    gram: np.ndarray | BorderedGram | None = None,
+    gram: np.ndarray | None = None,
+    static: StaticBlock | None = None,
 ) -> LinearModelDraw:
     """Draw linear-model parameters from their posterior.
 
@@ -266,18 +268,18 @@ def draw_linear_params(
     drawn first, so the solve that gives the slopes maps the noise too.
     ``gram``, when given, must be ``Xc'Xc`` (up to rounding), never ridged
     by the caller, and is not written: a caller that keeps it across draws
-    whose predictors barely change saves its O(n_obs r^2) product.  As a
-    ``BorderedGram``, draws that share its ``factors`` must share the
-    static block, ``x_obs``'s static columns and ``y_obs``, as a target's
-    complete columns and observed outcome are shared by its visits; they
-    then save the O(k^3 / 3) factor of that block, its O(n_obs k) cross
-    product with ``y_obs`` and the finiteness check of its cells.
+    whose predictors barely change saves its O(n_obs r^2) product.  Draws
+    that share ``x_obs``'s first k columns, ``y_obs``, ``ridge`` and the
+    Gram's k x k block, as a target's visits do, may share one ``static``
+    record of them (``StaticBlock.of``); it saves each the O(k^3 / 3)
+    factor of that block, its O(n_obs k) cross product with ``y_obs`` and
+    the finiteness check of its cells.
 
     Raises
     ------
     ValueError
-        Naming ``ridge`` when it is negative or not finite, and ``gram``
-        when it does not cover the r predictors; with an
+        Naming ``ridge`` when it is negative or not finite, and ``gram`` or
+        ``static`` when it does not fit the draw; with an
         "overparameterized imputation model" message when the degrees of
         freedom are not positive, and with a "non-finite regression
         coefficients" message when ``X'X`` or ``X'y`` overflowed.
@@ -295,7 +297,7 @@ def draw_linear_params(
         )
     chi2 = rng.chisquare(df)
     noise = rng.standard_normal(r + 1)
-    solved = _solve(x_obs, y_obs, ridge, gram, noise[1:])[0]
+    solved = _solve(x_obs, y_obs, ridge, gram, noise[1:], static)[0]
     # One pass over x_obs: the fit of the slopes, and of their shift L^-T z[1:].
     fits = x_obs @ solved
     offsets = y_obs - fits[:, 0]
@@ -432,7 +434,8 @@ def pmm_impute(
     rng: np.random.Generator,
     donors: int = DEFAULT_DONORS,
     ridge: float = DEFAULT_RIDGE,
-    gram: np.ndarray | BorderedGram | None = None,
+    gram: np.ndarray | None = None,
+    static: StaticBlock | None = None,
 ) -> np.ndarray:
     """Impute by predictive-mean matching against observed outcomes.
 
@@ -441,12 +444,12 @@ def pmm_impute(
     missing row then receives the observed outcome of one donor
     drawn uniformly from its ``donors`` nearest observed rows.  Every
     imputed value is therefore an observed value of the column.
-    ``x_mis`` must be 2-d with ``x_obs``'s columns; ``ridge`` and ``gram``
-    (unridged) pass through to ``draw_linear_params``, which refuses them.
+    ``x_mis`` must be 2-d with ``x_obs``'s columns; ``ridge``, ``gram`` and
+    ``static`` pass through to ``draw_linear_params``, which refuses them.
     """
     x_obs, y_obs = _inputs(x_obs, y_obs)
     x_mis = _missing_rows(x_mis, x_obs.shape[1])
-    params = draw_linear_params(y_obs, x_obs, rng, ridge, gram)
+    params = draw_linear_params(y_obs, x_obs, rng, ridge, gram, static)
     pools = nearest_donors(params.mean(x_obs), params.mean(x_mis), donors)
     picks = rng.integers(donors, size=x_mis.shape[0])
     return y_obs[pools[np.arange(x_mis.shape[0]), picks]]

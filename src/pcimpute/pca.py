@@ -352,10 +352,8 @@ def pca(
         columns = np.arange(running.correlation.shape[0])
     columns = np.asarray(columns)
     limit = max_components(running.standardized.shape[0], columns.size)
-    if not 1 <= int(n_components) <= limit:
-        raise ValueError(
-            f"n_components must be in [1, {limit}], got {n_components}"
-        )
+    if not _is_a(n_components, Integral) or not 1 <= n_components <= limit:
+        raise ValueError(f"n_components must be an integer in [1, {limit}], got {n_components!r}")
     return _running_components(running, columns, int(n_components))
 
 

@@ -28,7 +28,13 @@ from pcimpute.engine import (
     quickpred_select,
     run_impute,
 )
-from pcimpute.imputers import DEFAULT_RIDGE, IMPUTER_KINDS, IMPUTER_PMM, draw_linear_params
+from pcimpute.imputers import (
+    DEFAULT_RIDGE,
+    IMPUTER_KINDS,
+    IMPUTER_PMM,
+    StaticBlock,
+    draw_linear_params,
+)
 from pcimpute.pca import RunningCorrelation, pca
 from tests.helpers import (
     assert_observed_preserved,
@@ -677,7 +683,7 @@ class TestCachedDesign:
             centred = _centred(gathered, observed)
             np.testing.assert_array_equal(x_obs, centred[observed])
             np.testing.assert_array_equal(x_mis, centred[~observed])
-            np.testing.assert_allclose(gram.matrix, x_obs.T @ x_obs, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(gram, x_obs.T @ x_obs, rtol=0, atol=1e-9)
             cached = draw_linear_params(y_obs, x_obs, np.random.default_rng(1), gram=gram)
             fresh = draw_linear_params(y_obs, centred[observed], np.random.default_rng(1))
             np.testing.assert_allclose(cached.coefficients, fresh.coefficients, rtol=0, atol=1e-9)
@@ -733,7 +739,7 @@ class TestCachedDesign:
                     centred = _centred(gathered, observed)
                     np.testing.assert_array_equal(x_obs, centred[observed])
                     np.testing.assert_array_equal(x_mis, centred[~observed])
-                    np.testing.assert_allclose(gram.matrix, x_obs.T @ x_obs, rtol=0, atol=1e-9)
+                    np.testing.assert_allclose(gram, x_obs.T @ x_obs, rtol=0, atol=1e-9)
             assert widths == [4, 5, 4, 5]
             messages = [rec.message for rec in caplog.records]
             assert messages == [
@@ -808,7 +814,11 @@ class TestCachedDesign:
 
 
 class TestStaticBlockFactor:
-    """The draw factors a target's static block once per run and each visit's border alone."""
+    """The draw factors a target's static block once per run and each visit's border alone.
+
+    The target's design owns the static block's record (``imputers.StaticBlock``), made at
+    its first draw.
+    """
 
     def test_block_draw_matches_a_full_factor_in_the_design_order(self):
         # x1's quickpred design: x4-x6 complete (the static block), x2 and x3
@@ -822,23 +832,31 @@ class TestStaticBlockFactor:
         plan = TestCachedDesign._plan(data)
         working = initialize_fill(data, np.random.default_rng(0))
         y_obs = data.values[observed, 0]
-        borders, factors = [], []
+        borders, records = [], []
         for visit, fill in enumerate((2.5, 1.5, 0.5, 1.5, 3.0)):
             working[gap, 2] = fill
             working[np.flatnonzero(gap)[0], 2] = 1.5  # constant only when fill is 1.5
             working[~data.mask[:, 1], 1] = np.random.default_rng(visit).standard_normal(
                 int((~data.mask[:, 1]).sum())
             )
-            x_obs, _, gram = engine.build_predictors(plan, working, 0)
-            assert gram.static == 3
-            block = draw_linear_params(y_obs, x_obs, np.random.default_rng(visit), gram=gram)
-            full = draw_linear_params(y_obs, x_obs, np.random.default_rng(visit), gram=gram.matrix)
+            predictors = engine.build_predictors(plan, working, 0)
+            rng = np.random.default_rng(visit)
+            engine._impute_column(plan, working, predictors, 0, rng, "chain 0, iteration 1")
+            x_obs, _, gram = predictors
+            design = plan.designs[0]
+            assert design.static == 3
+            static = design.static_block
+            rng = np.random.default_rng(visit)
+            block = draw_linear_params(y_obs, x_obs, rng, gram=gram, static=static)
+            full = draw_linear_params(y_obs, x_obs, np.random.default_rng(visit), gram=gram)
             np.testing.assert_allclose(block.coefficients, full.coefficients, rtol=0, atol=1e-9)
             assert block.residual_sd == pytest.approx(full.residual_sd, rel=0, abs=1e-9)
-            borders.append(x_obs.shape[1] - gram.static)
-            factors.append(gram.factors[DEFAULT_RIDGE])
+            borders.append(x_obs.shape[1] - design.static)
+            records.append(static)
         assert borders == [2, 1, 2, 1, 2]
-        assert all(factor is factors[0] for factor in factors)
+        # One record per target per run.
+        assert isinstance(records[0], StaticBlock)
+        assert all(record is records[0] for record in records)
 
     def test_square_root_inverts_the_ridged_gram_on_a_wide_design(self):
         # p = 242: x1's quickpred design holds about 240 columns, 3 of them moving.
@@ -851,18 +869,36 @@ class TestStaticBlockFactor:
             for j in (1, 2, 3):  # the other targets' draws move their cells
                 gap = ~data.mask[:, j]
                 working[gap, j] = np.random.default_rng(sweep + j).standard_normal(int(gap.sum()))
-        assert gram.static > 200 and x_obs.shape[1] - gram.static == 3
+        k = plan.designs[0].static
+        assert k > 200 and x_obs.shape[1] - k == 3
         ridge, width = DEFAULT_RIDGE, x_obs.shape[1]
         y_obs = data.values[observed, 0]
+        static = StaticBlock.of(y_obs, x_obs, gram, k, ridge)
         # S = L^-T, the draw's noise map: its column i maps the i-th unit vector.
         root = np.column_stack(
-            [imputers._solve(x_obs, y_obs, ridge, gram, unit)[0][:, 1] for unit in np.eye(width)]
+            [
+                imputers._solve(x_obs, y_obs, ridge, gram, unit, static)[0][:, 1]
+                for unit in np.eye(width)
+            ]
         )
-        inverse = np.linalg.inv(gram.matrix + ridge * np.eye(width))
+        inverse = np.linalg.inv(gram + ridge * np.eye(width))
         assert np.linalg.norm(root @ root.T - inverse) / np.linalg.norm(inverse) < 1e-12
-        slopes = imputers._solve(x_obs, y_obs, ridge, gram, np.zeros(width))[0][:, 0]
-        full = imputers._solve(x_obs, y_obs, ridge, gram.matrix, np.zeros(width))[0][:, 0]
+        slopes = imputers._solve(x_obs, y_obs, ridge, gram, np.zeros(width), static)[0][:, 0]
+        full = imputers._solve(x_obs, y_obs, ridge, gram, np.zeros(width))[0][:, 0]
         assert np.linalg.norm(slopes - full) / np.linalg.norm(full) < 1e-12
+
+    def test_static_block_failure_is_labelled(self, monkeypatch):
+        # Every factor reports its first minor as not positive; the first one made
+        # is x1's static block of 5 columns, at x1's first draw, of 7 predictors.
+        factor = imputers.dpotrf
+        monkeypatch.setattr(imputers, "dpotrf", lambda a, **kwargs: (factor(a, **kwargs)[0], 1))
+        data = make_incomplete(seed=97, n_cols=8, n_analysis=3)
+        message = (
+            r"^chain 0, iteration 1, column 'x1': "
+            r"ridged Gram is not positive definite \(leading minor 1 of 7\)$"
+        )
+        with pytest.raises(ValueError, match=message):
+            run_impute(_spec(STRATEGY_QUICKPRED, corr_threshold=0.0), data)
 
     def test_static_block_is_factored_once_per_target_per_run(self, monkeypatch):
         data = make_incomplete(seed=97, n_cols=8, n_analysis=3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -14,8 +15,8 @@ from pcimpute.imputers import (
     DEFAULT_RIDGE,
     IMPUTER_KINDS,
     IMPUTER_PMM,
-    BorderedGram,
     LinearModelDraw,
+    StaticBlock,
     draw_linear_params,
     draw_predictive,
     nearest_donors,
@@ -104,7 +105,7 @@ class TestDrawLinearParams:
         cases = [
             (3, 2, 0, None, "3 of 3"),  # one factor of the whole Gram
             (3, 2, 2, None, "3 of 3"),  # the border's Schur complement, at its first minor
-            (3, 1, 2, None, "2 of 3"),  # the static block
+            (3, 1, 2, None, "2 of 3"),  # the static block, as its record is made
             (4, 3, 2, None, "4 of 4"),  # the Schur complement, at its second minor
             (4, 3, 1, [0, 2, 3], "3 of 3"),  # the same, with column 1 sitting out
         ]
@@ -113,12 +114,11 @@ class TestDrawLinearParams:
             gram[negative, negative] = -1.0
             if keep is not None:
                 gram = gram[np.ix_(keep, keep)]
-            if static:
-                gram = BorderedGram(gram, static)
             x, y, _ = _regression_case(2, r=int(minor.split()[-1]))
             message = rf"ridged Gram is not positive definite \(leading minor {minor}\)$"
             with pytest.raises(np.linalg.LinAlgError, match=message):
-                draw_linear_params(y, x, np.random.default_rng(0), gram=gram)
+                record = StaticBlock.of(y, x, gram, static) if static else None
+                draw_linear_params(y, x, np.random.default_rng(0), gram=gram, static=record)
 
     def test_overflowed_gram_is_named_as_overflow(self):
         # An infinite cross product stops the factorisation at the second minor.
@@ -434,12 +434,20 @@ class TestGivenGram:
             ({"ridge": np.nan}, r"ridge must be nonnegative and finite, got nan"),
             ({"ridge": np.inf}, r"ridge must be nonnegative and finite, got inf"),
             (
-                {"gram": BorderedGram(np.eye(4), 2)},
+                {"gram": np.eye(4), "static": StaticBlock(np.eye(2), np.zeros(2), DEFAULT_RIDGE)},
                 r"gram must be 3 x 3 for 3 predictors, got shape \(4, 4\)",
             ),
             (
-                {"gram": BorderedGram(np.eye(3), 4)},
+                {"gram": np.eye(3), "static": StaticBlock(np.eye(4), np.zeros(4), DEFAULT_RIDGE)},
                 r"gram's static block of 4 columns must lie inside its 3",
+            ),
+            (
+                {"gram": np.eye(3), "static": StaticBlock(np.eye(2), np.zeros(2), 0.5)},
+                r"static block made at ridge 0\.5, not 1e-05",
+            ),
+            (
+                {"static": StaticBlock(np.eye(2), np.zeros(2), DEFAULT_RIDGE)},
+                r"a static block needs the gram it was made from",
             ),
         ],
     )
@@ -452,25 +460,6 @@ class TestGivenGram:
             else:
                 draw_linear_params(y, x, rng, **kwargs)
 
-    def test_block_factor_draws_as_one_factor_in_the_same_order(self):
-        # Columns 0-3 are the static block; each draw's border is a subset of 4-5,
-        # and each draw's Gram the compacted one of its columns.
-        rng = np.random.default_rng(19)
-        x = rng.standard_normal((40, 6)) @ rng.standard_normal((6, 6))
-        x -= x.mean(axis=0)
-        y = x @ rng.standard_normal(6) + rng.standard_normal(40)
-        matrix, factors = x.T @ x, {}
-        for border in ([4, 5], [4], [5], []):
-            columns = [0, 1, 2, 3, *border]
-            compact = matrix[np.ix_(columns, columns)]
-            gram = BorderedGram(compact, 4, factors)
-            block = draw_linear_params(y, x[:, columns], np.random.default_rng(2), gram=gram)
-            full = draw_linear_params(y, x[:, columns], np.random.default_rng(2), gram=compact)
-            np.testing.assert_allclose(block.coefficients, full.coefficients, rtol=0, atol=1e-9)
-            assert block.residual_sd == pytest.approx(full.residual_sd, rel=0, abs=1e-9)
-        # One static factor served every draw.
-        assert list(factors) == [DEFAULT_RIDGE]
-
     @staticmethod
     def _blocks():
         # Six correlated predictors, centred, and an outcome on all of them.
@@ -479,49 +468,121 @@ class TestGivenGram:
         x -= x.mean(axis=0)
         return x, x @ rng.standard_normal(6) + rng.standard_normal(40)
 
+    def test_block_factor_draws_as_one_factor_in_the_same_order(self):
+        # Columns 0-3 are the static block; each draw's border is a subset of 4-5,
+        # and each draw's Gram the compacted one of its columns.
+        x, y = self._blocks()
+        matrix = x.T @ x
+        # One record, made from the static columns alone, serves every draw.
+        static = StaticBlock.of(y, x[:, :4], matrix[:4, :4], 4)
+        for border in ([4, 5], [4], [5], []):
+            columns = [0, 1, 2, 3, *border]
+            compact = matrix[np.ix_(columns, columns)]
+            rng = np.random.default_rng(2)
+            block = draw_linear_params(y, x[:, columns], rng, gram=compact, static=static)
+            full = draw_linear_params(y, x[:, columns], np.random.default_rng(2), gram=compact)
+            np.testing.assert_allclose(block.coefficients, full.coefficients, rtol=0, atol=1e-9)
+            assert block.residual_sd == pytest.approx(full.residual_sd, rel=0, abs=1e-9)
+
     @pytest.mark.parametrize("static", [0, 4])
     def test_static_products_are_made_once_per_ridge(self, static):
         # Columns 0-3 are the static block when ``static`` is 4; each draw's border
         # is a subset of 4-5.  With no static block the last draw has no predictors.
         x, y = self._blocks()
-        matrix, factors, made = x.T @ x, {}, {}
+        matrix = x.T @ x
         for ridge in (DEFAULT_RIDGE, 0.5):
+            record = None
             for border in ([4, 5], [5], [4, 5], []):
                 columns = [*range(static), *border]
                 compact = matrix[np.ix_(columns, columns)]
-                gram = BorderedGram(compact, static, factors)
-                block = draw_linear_params(y, x[:, columns], np.random.default_rng(2), ridge, gram)
+                if static and record is None:  # the first draw's, as a target's design makes it
+                    record = StaticBlock.of(y, x[:, columns], compact, static, ridge)
+                block = draw_linear_params(
+                    y, x[:, columns], np.random.default_rng(2), ridge, compact, record
+                )
                 full = draw_linear_params(y, x[:, columns], np.random.default_rng(2), ridge, compact)
                 np.testing.assert_allclose(block.coefficients, full.coefficients, rtol=0, atol=1e-9)
                 assert block.residual_sd == pytest.approx(full.residual_sd, rel=0, abs=1e-9)
-                if static:
-                    assert factors[ridge] is made.setdefault(ridge, factors[ridge])
-        if not static:
-            assert factors == {}
-            return
-        assert list(factors) == [DEFAULT_RIDGE, 0.5]
-        for ridge, (lower, z) in factors.items():
+            if not static:
+                continue
+            lower, z = record.lower, record.z
+            assert record.ridge == ridge and lower.shape == (4, 4)
+            np.testing.assert_array_equal(np.triu(lower, 1), 0.0)
             np.testing.assert_allclose(lower @ lower.T, matrix[:4, :4] + ridge * np.eye(4), atol=1e-9)
             np.testing.assert_allclose(lower @ z, x[:, :4].T @ (y - y.mean()), atol=1e-9)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.ridge = 0.0
+
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_record_must_lie_inside_the_predictors(self, k):
+        x, y = self._blocks()
+        message = f"^a static block of {k} columns must lie inside the 6 predictors$"
+        with pytest.raises(ValueError, match=message):
+            StaticBlock.of(y, x, x.T @ x, k)
+
+    # Per example: a static block of k of 9 columns, one record made at the first
+    # visit, and a visit sequence whose borders (subsets of the other columns,
+    # redrawn at every visit) shrink and grow; k = 0 and k = r (an empty border) occur.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        k=st.integers(0, 6),
+        ridge=st.sampled_from([DEFAULT_RIDGE, 0.5]),
+        borders=st.lists(st.lists(st.booleans(), min_size=3, max_size=3), min_size=1, max_size=5),
+    )
+    def test_record_draws_as_the_whole_gram_over_visits(self, seed, k, ridge, borders):
+        rng = np.random.default_rng(seed)
+        # Upper triangular mixing: the static columns depend on the static latent columns only.
+        mixing = np.eye(9) + 0.5 * np.triu(rng.standard_normal((9, 9)), 1)
+        latent = rng.standard_normal((50, 9))
+        y = latent @ rng.standard_normal(9) + rng.standard_normal(50)
+        static = None
+        for visit, border in enumerate(borders):
+            latent[:, k:] = rng.standard_normal((50, 9 - k))  # the other targets' draws
+            columns = [*range(k), *(k + np.flatnonzero(border)).tolist()]
+            x = (latent @ mixing)[:, columns]
+            centred = x - x.mean(axis=0)
+            gram = centred.T @ centred
+            if k and static is None:
+                static = StaticBlock.of(y, x, gram, k, ridge)
+            block = draw_linear_params(y, x, np.random.default_rng(visit), ridge, gram, static)
+            full = draw_linear_params(y, x, np.random.default_rng(visit), ridge, gram)
+            np.testing.assert_allclose(block.coefficients, full.coefficients, rtol=0, atol=1e-9)
+            assert block.residual_sd == pytest.approx(full.residual_sd, rel=0, abs=1e-9)
+
+    def test_reused_gram_draws_as_a_fresh_one(self):
+        # One Gram array of x'x serves y and then -y: the array holds no state
+        # of the first draw, so the second draws bitwise as a fresh copy does,
+        # and with a record of -y's own static products as the whole Gram does.
+        x, y = self._blocks()
+        shared = x.T @ x
+        for outcome in (y, -y):
+            reused = draw_linear_params(outcome, x, np.random.default_rng(7), gram=shared)
+            fresh = draw_linear_params(outcome, x, np.random.default_rng(7), gram=shared.copy())
+            np.testing.assert_array_equal(reused.coefficients, fresh.coefficients)
+            assert reused.residual_sd == fresh.residual_sd
+            static = StaticBlock.of(outcome, x, shared, 3)
+            rng = np.random.default_rng(7)
+            block = draw_linear_params(outcome, x, rng, gram=shared, static=static)
+            np.testing.assert_allclose(block.coefficients, fresh.coefficients, rtol=0, atol=1e-9)
+            assert block.residual_sd == pytest.approx(fresh.residual_sd, rel=0, abs=1e-9)
 
     def test_shared_static_products_keep_every_finite_check(self):
         x, y = self._blocks()
         rng = np.random.default_rng(4)
-        gram = BorderedGram(x.T @ x, 4, {})
-        draw_linear_params(y, x, rng, gram=gram)
-        assert list(gram.factors) == [DEFAULT_RIDGE]
-        # A later draw that shares the static products still checks its border and outcome.
+        static = StaticBlock.of(y, x, x.T @ x, 4)
+        # A draw given the record still checks its border and outcome.
         for column, row in ((4, 7), (5, 39)):
             bad = x.copy()
             bad[row, column] = np.nan
             with pytest.raises(ValueError, match="^design and outcome must be finite$"):
-                draw_linear_params(y, bad, rng, gram=gram)
+                draw_linear_params(y, bad, rng, gram=x.T @ x, static=static)
         with pytest.raises(ValueError, match="^design and outcome must be finite$"):
-            draw_linear_params(np.where(np.arange(40) == 3, np.inf, y), x, rng, gram=gram)
-        # The draw that would build the static products checks every static cell.
-        fresh = BorderedGram(x.T @ x, 4, {})
+            bad = np.where(np.arange(40) == 3, np.inf, y)
+            draw_linear_params(bad, x, rng, gram=x.T @ x, static=static)
+        # Making the record checks every static cell and the outcome.
         bad = x.copy()
         bad[11, 2] = -np.inf
-        with pytest.raises(ValueError, match="^design and outcome must be finite$"):
-            draw_linear_params(y, bad, rng, gram=fresh)
-        assert fresh.factors == {}
+        for outcome, design in ((y, bad), (np.where(np.arange(40) == 3, np.nan, y), x)):
+            with pytest.raises(ValueError, match="^design and outcome must be finite$"):
+                StaticBlock.of(outcome, design, x.T @ x, 4)

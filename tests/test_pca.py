@@ -126,6 +126,12 @@ class TestPca:
             pca(x, 0)
         with pytest.raises(ValueError, match="components"):
             pca(x, 7)
+        # Neither is truncated to a count.
+        for count in (2.9, True, 3.0, "3"):
+            message = rf"^n_components must be an integer in \[1, 6\], got {count!r}$"
+            with pytest.raises(ValueError, match=message):
+                pca(x, count)
+        assert pca(x, np.int64(2)).scores.shape[1] == 2
 
     def test_max_components(self):
         assert max_components(10, 4) == 4
